@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
@@ -48,6 +49,15 @@ void record_timing(RunResult& r, const std::string& p50_name, const std::string&
   r.note(line);
 }
 
+std::vector<Served> served_at_reference_speed(std::vector<Served> served) {
+  const double slowdown = host_probe().slowdown();
+  for (Served& s : served) {
+    s.ttft_s /= slowdown;
+    s.tpot_s /= slowdown;
+  }
+  return served;
+}
+
 namespace {
 
 const char* const kEndToEnd[] = {
@@ -57,7 +67,7 @@ const char* const kEndToEnd[] = {
 };
 
 // Per-layer metrics, with the unit used when a workload does not exercise
-// the layer and the metric reads 0.
+// the layer (see idle_layer) and the metric reads 0.
 const std::pair<const char*, const char*> kPerLayer[] = {
     {"sattn.plan_ms", "ms"},          {"sattn.stage1_ms", "ms"},
     {"sattn.stage2_ms", "ms"},        {"sattn.merge_ms", "ms"},
@@ -79,6 +89,26 @@ const std::pair<const char*, const char*> kPerLayer[] = {
     {"gen.late_max_ms", "ms"},        {"fail_frac", "frac"},
     {"trace.overhead_frac", "frac"},
 };
+
+// Whether `workload` leaves the layer of per-layer metric `name` idle. Only
+// such metrics read 0 when a traced run does not set them; any other metric
+// missing from a traced run fails it, so a renamed or vanished span or
+// counter cannot pass as a zero.
+bool idle_layer(const std::string& workload, const std::string& name) {
+  static const std::map<std::string, std::vector<std::string>> kIdle = {
+      // Offline prefill: no engine, batch sweep, KV arena or generator.
+      {"prefill_long", {"engine.", "batch.", "kv.", "gen.", "fail_frac"}},
+      // kDense serving: the planner and the sparse kernel never run, so the
+      // engine has no plans to reject or to replace by dense fallbacks.
+      {"serve_prefix",
+       {"sattn.", "attn.sparse_", "attn.speedup_vs_flash", "engine.plan_rejects",
+        "engine.dense_fallbacks"}},
+  };
+  for (const std::string& prefix : kIdle.at(workload)) {
+    if (name.rfind(prefix, 0) == 0) return true;
+  }
+  return false;
+}
 
 bool parse_args(int argc, char** argv, RunArgs& a) {
   bool have_workload = false;
@@ -165,15 +195,14 @@ bool print_config(const RunArgs& args) {
   return true;
 }
 
-void print_result(RunResult& r, bool trace) {
+void print_result(RunResult& r, const RunArgs& args) {
   std::set<std::string> wanted;
-  if (!trace) {
+  if (!args.trace) {
     for (const char* name : kEndToEnd) wanted.insert(name);
   } else {
     for (const auto& [name, unit] : kPerLayer) {
       wanted.insert(name);
-      // A layer the workload does not exercise reads 0.
-      if (!r.metrics.count(name)) r.set(name, 0.0, unit);
+      if (!r.metrics.count(name) && idle_layer(args.workload, name)) r.set(name, 0.0, unit);
     }
   }
   for (const std::string& name : wanted) {
@@ -243,6 +272,6 @@ int main(int argc, char** argv) {
   sabench::RunResult r = args.workload == "prefill_long" ? sabench::run_prefill_long(args)
                                                           : sabench::run_serve_prefix(args);
   if (!args.trace) sabench::at_reference_speed(r);
-  sabench::print_result(r, args.trace);
+  sabench::print_result(r, args);
   return r.correct ? 0 : 1;
 }

@@ -17,8 +17,9 @@
 //                          share of a prompt's time to first token
 //   tpot_p50/p95           one exact decode step over the 4K-token paged KV
 //                          cache of the head just prefilled (decode_attention)
-//   slo_frac               calls meeting kSlo: the sparse heads do, the dense
-//                          layer-0 head does not
+//   slo_frac               calls meeting kSlo at the reference host speed:
+//                          the sparse heads do, the dense layer-0 head does
+//                          not (~45 ms and ~220 ms against a 150 ms limit)
 //   cra_min                CRA of the deployed masks on fixed rows, min over
 //                          the heads of a fixed reference prompt
 //   out_err_max            max |sparse - flash_attention| over those heads
@@ -278,7 +279,7 @@ RunResult run_prefill_long(const RunArgs& args) {
     record_timing(r, "prefill_head_p50_ms", "prefill_head_p90_ms", call_p90, 1e3, "ms");
     record_timing(r, "ttft_p50_ms", "ttft_p95_ms", summarize(calls, 0.95), 1e3, "ms");
     record_timing(r, "tpot_p50_ms", "tpot_p95_ms", summarize(decode, 0.95), 1e3, "ms");
-    r.set("slo_frac", slo_frac(served, calls.size(), kSlo), "frac");
+    r.set("slo_frac", slo_frac(served_at_reference_speed(served), calls.size(), kSlo), "frac");
     r.set("cra_min", q.cra_min, "frac");
     r.set("out_err_max", q.err_max, "abs");
     return r;

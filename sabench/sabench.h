@@ -13,9 +13,15 @@
 
 namespace sabench {
 
-// The process's host-speed probe. Workloads sample it between measured
-// operations, never inside them.
+// The process's host-speed probe. Workloads sample it only while the
+// library is idle: between measured calls, never inside them and never
+// beside a running engine, whose threads would slow the probe down.
 HostProbe& host_probe();
+
+// `served` at the reference host speed, as the reported timings are, so that
+// slo_frac's fixed limits do not move with the host's speed. Call after the
+// run's last probe sample.
+std::vector<Served> served_at_reference_speed(std::vector<Served> served);
 
 struct RunArgs {
   std::string workload;

@@ -746,8 +746,11 @@ int main(int argc, char** argv) {
       // Per-run label namespaces the request.<label>/<id>.* attribution
       // gauges so the six engine x scheduler runs stay distinguishable in
       // the report's per_request view.
-      const std::string run_label = std::string(label) + "_" + sched_label;
-      const ServingSummary s = summarize(simulate_queue(trace, *engine, quantum, run_label));
+      SloOptions queue;
+      queue.chunk_quantum_tokens = quantum;
+      queue.run_label = std::string(label) + "_" + sched_label;
+      const ServingSummary s =
+          summarize(simulate_queue_slo(trace, *engine, queue).value().completed);
       t.add_row({name, sched, fmt(s.mean_ttft, 1) + "s", fmt(s.max_ttft, 1) + "s",
                  fmt(s.mean_queueing, 1) + "s", fmt(s.makespan, 1) + "s"});
       csv.add_row({name, sched, fmt(s.mean_ttft, 3), fmt(s.max_ttft, 3),

@@ -107,7 +107,7 @@ if ! grep -q '^## Online quality audit' docs/OBSERVABILITY.md; then
 fi
 
 # --- 3b. metric-name literals must be in the glossary ------------------------
-# Every engine./audit./alert. metric name hardcoded in src/ must appear
+# Every engine./audit./alert./sched. metric name hardcoded in src/ must appear
 # backticked somewhere in docs/OBSERVABILITY.md — either verbatim or via a
 # documented name family (a backticked prefix like `engine.kv_*`). New
 # counters without glossary entries rot the observability contract.
@@ -121,7 +121,7 @@ while IFS= read -r name; do
   while IFS= read -r fam; do
     fam="${fam%\*}"
     case "$fam" in
-      engine.|audit.|alert.) continue ;;
+      engine.|audit.|alert.|sched.) continue ;;
     esac
     case "$name" in
       "$fam"*) prefix_ok=1; break ;;
@@ -131,7 +131,7 @@ while IFS= read -r name; do
     echo "check_docs: metric '$name' (hardcoded in src/) is not in the docs/OBSERVABILITY.md glossary" >&2
     fail=1
   fi
-done < <(grep -rhoE '"(engine|audit|alert)\.[a-z0-9_]+[a-z0-9]"' src/ | tr -d '"' | sort -u)
+done < <(grep -rhoE '"(engine|audit|alert|sched)\.[a-z0-9_]+[a-z0-9]"' src/ | tr -d '"' | sort -u)
 
 for section in '^## Numeric contract' '^## Dispatch rules' \
                '^## Reproducing the scalar-vs-SIMD comparison'; do

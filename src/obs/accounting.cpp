@@ -97,9 +97,6 @@ void charge_attention_kernel(const char* kernel, long long sq, long long sk, lon
   u.bytes = kAcctBytesPerElement * (2.0 * static_cast<double>(sq) * d + 2.0 * d * evals) +
             score_bytes + meta_bytes;
   u.calls = 1.0;
-  SATTN_COUNTER_ADD("attn.kernel_score_evals", evals);
-  SATTN_COUNTER_ADD("attn.kernel_flops", u.flops);
-  SATTN_COUNTER_ADD("attn.kernel_bytes", u.bytes);
   ResourceAccountant::global().charge(kernel, sq, sk, head_dim, u);
 }
 

@@ -180,10 +180,9 @@ class RequestContext {
 
 // Measured charge for one attention-kernel call: `evals` causal score
 // evaluations over a [sq x sk] call with the given head_dim. Applies the
-// flops/bytes conventions above, feeds the legacy `attn.kernel_*`
-// counters, and records the call in the accountant. `score_bytes` is the
-// materialized-score traffic (full attention), `meta_bytes` the mask/index
-// metadata traffic (sparse layouts).
+// flops/bytes conventions above and records the call in the accountant.
+// `score_bytes` is the materialized-score traffic (full attention),
+// `meta_bytes` the mask/index metadata traffic (sparse layouts).
 void charge_attention_kernel(const char* kernel, long long sq, long long sk, long long head_dim,
                              double evals, double score_bytes = 0.0, double meta_bytes = 0.0);
 

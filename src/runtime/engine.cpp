@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <unordered_set>
 
@@ -17,10 +19,6 @@ namespace sattn {
 
 namespace {
 
-std::string request_key(const std::string& run_label, const std::string& id) {
-  return run_label.empty() ? id : run_label + "/" + id;
-}
-
 // Per-request timeline: one `timeline.<run_label>/<id>` series whose values
 // are obs::RequestPhase codes. The run report's timeline view and the Chrome
 // request lanes are both derived from this shared coding.
@@ -30,20 +28,6 @@ void emit_timeline(const std::string& run_label, const std::string& id, double t
   obs::MetricsRegistry::global()
       .series("timeline." + request_key(run_label, id))
       .append(t, static_cast<double>(phase));
-}
-
-void emit_completion_metrics(const std::string& run_label, const EngineCompletion& c) {
-  if (!obs::enabled()) return;
-  const std::string key = request_key(run_label, c.base.request.id);
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string prefix = "request." + key + ".";
-  reg.gauge(prefix + "queue_s").set(c.base.queue_seconds);
-  reg.gauge(prefix + "compute_s").set(c.base.compute_seconds);
-  reg.gauge(prefix + "guard_s").set(c.base.guard_seconds);
-  reg.gauge(prefix + "ttft_s").set(c.base.ttft());
-  if (c.decoded_tokens > 0) reg.gauge(prefix + "tpot_s").set(c.tpot_seconds);
-  SATTN_HISTOGRAM_EX("sched.ttft_seconds", c.base.ttft(), key);
-  if (c.decoded_tokens > 0) SATTN_HISTOGRAM("sched.tpot_seconds", c.tpot_seconds);
 }
 
 // Deterministic per-request tensor content: the engine measures kernel
@@ -172,8 +156,11 @@ std::vector<std::pair<std::string, TerminalState>> EngineResult::outcomes() cons
 
 ServingEngine::ServingEngine(EngineOptions opts) : opts_(std::move(opts)) {
   assert(opts_.head_dim > 0 && opts_.chunk_tokens > 0 && opts_.max_batch > 0);
-  if (opts_.degrade_density_scale.empty()) opts_.degrade_density_scale = {1.0};
-  result_.served_per_level.assign(opts_.degrade_density_scale.size(), 0);
+  if (const Status s = opts_.validate(); !s.ok()) {
+    std::fprintf(stderr, "ServingEngine: invalid serving policy: %s\n", s.to_string().c_str());
+    std::abort();
+  }
+  result_.served_per_level.assign(static_cast<std::size_t>(opts_.levels()), 0);
   arena_ = opts_.kv_arena ? opts_.kv_arena
                           : std::make_shared<KvPageArena>(opts_.head_dim, opts_.kv_page_tokens);
   assert(arena_->head_dim() == opts_.head_dim);
@@ -338,13 +325,9 @@ void ServingEngine::watchdog() {
 
 void ServingEngine::loop() {
   SATTN_SPAN("engine/loop");
-  const int levels = static_cast<int>(opts_.degrade_density_scale.size());
-  const auto scale_of = [&](int level) {
-    return opts_.degrade_density_scale[static_cast<std::size_t>(level)];
-  };
-  const double target_ttft = opts_.slo_ttft_seconds > 0.0   ? opts_.slo_ttft_seconds
-                             : opts_.deadline_seconds > 0.0 ? opts_.deadline_seconds
-                                                            : std::numeric_limits<double>::infinity();
+  const PrefillCost projected_cost =
+      opts_.projected_prefill_seconds ? opts_.projected_prefill_seconds
+                                      : PrefillCost([](Index, double) { return 0.0; });
   // Scorecard attribution for the shadow audit: requests hash to stable
   // pseudo-head buckets (obs/audit.h, AuditOptions::head_buckets).
   const auto audit_head_of = [&](const std::string& id) {
@@ -353,12 +336,18 @@ void ServingEngine::loop() {
     return static_cast<long long>(mix_id(opts_.audit.seed, id) % buckets);
   };
 
-  const auto shed = [&](std::unique_ptr<Live> lr, const char* reason) {
+  const auto shed = [&](ServingRequest req, const char* reason) {
     const double t = now();
-    SATTN_COUNTER_ADD("sched.requests_shed", 1);
-    tele_push(obs::TelemetryEventKind::kShed, lr->req.id, t);
-    emit_timeline(opts_.run_label, lr->req.id, t, obs::RequestPhase::kShed);
-    result_.shed.push_back({std::move(lr->req), reason, t});
+    tele_push(obs::TelemetryEventKind::kShed, req.id, t);
+    emit_timeline(opts_.run_label, req.id, t, obs::RequestPhase::kShed);
+    result_.record_shed(std::move(req), reason, t);
+  };
+  const auto shed_live = [&](Live* lr, const char* reason) {
+    const auto it = std::find_if(live_.begin(), live_.end(),
+                                 [lr](const std::unique_ptr<Live>& lp) { return lp.get() == lr; });
+    assert(it != live_.end());
+    shed(std::move(lr->req), reason);
+    live_.erase(it);
   };
 
   // Cancellation terminals. Both preserve the attribution identity
@@ -491,20 +480,12 @@ void ServingEngine::loop() {
           continue;
         }
       }
+      if (const char* reason = opts_.admit(req.prompt_tokens, static_cast<Index>(live_.size()))) {
+        shed(std::move(req), reason);
+        continue;
+      }
       auto lr = std::make_unique<Live>(opts_.head_dim, opts_.fault.for_request(req.id), arena_);
       lr->req = std::move(req);
-      if (opts_.max_prompt_tokens > 0 && lr->req.prompt_tokens > opts_.max_prompt_tokens) {
-        SATTN_COUNTER_ADD("sched.oversized_rejects", 1);
-        shed(std::move(lr), "oversized");
-        continue;
-      }
-      if (lr->req.prompt_tokens <= 0 ||
-          (opts_.max_queue_depth > 0 &&
-           static_cast<Index>(live_.size()) >= opts_.max_queue_depth)) {
-        SATTN_COUNTER_ADD("sched.admission_rejects", 1);
-        shed(std::move(lr), "admission");
-        continue;
-      }
       lr->admit_seq = admit_seq_++;
       lr->active = opts_.kv_budget_bytes <= 0.0;  // budget gate (activation below)
       const Index s = lr->req.prompt_tokens, d = opts_.head_dim;
@@ -606,7 +587,7 @@ void ServingEngine::loop() {
         }
         if (need > opts_.kv_budget_bytes) {
           SATTN_COUNTER_ADD("engine.kv_budget_sheds", 1);
-          shed(std::move(*it), "kv_budget");
+          shed(std::move(lr.req), "kv_budget");
           it = live_.erase(it);
           continue;
         }
@@ -643,24 +624,22 @@ void ServingEngine::loop() {
     }
 
     // --- First-service steering, deadline shedding, runaway watchdog. ---
-    // Mirrors simulate_queue_slo: when service is about to start, walk the
-    // degrade ladder until the projected TTFT fits the target (taking a
-    // rung only when it actually buys time — for dense engines the ladder
-    // is a no-op), then shed whatever cannot make the hard deadline even
-    // fully degraded. Started requests get the runaway check: a prefill
-    // whose measured service time blew past watchdog_cost_multiple x its
-    // projected cost is shed instead of parking the batch indefinitely.
+    // When service is about to start, ServingPolicy::steer picks the
+    // degrade level against the projected cost, and a request whose
+    // projected TTFT misses the hard deadline even fully degraded sheds.
+    // Started requests get the runaway check: a prefill whose measured
+    // service time blew past watchdog_cost_multiple x its projected cost is
+    // shed instead of parking the batch indefinitely.
     const double t_steer = now();
     for (auto it = live_.begin(); it != live_.end();) {
       Live& lr = **it;
       if (lr.start_s >= 0.0) {
         if (opts_.watchdog_cost_multiple > 0.0 && opts_.projected_prefill_seconds &&
             lr.finish_prefill_s < 0.0) {
-          const double proj =
-              opts_.projected_prefill_seconds(lr.req.prompt_tokens, scale_of(lr.level));
+          const double proj = projected_cost(lr.req.prompt_tokens, opts_.density_scale(lr.level));
           if (proj > 0.0 && t_steer - lr.start_s > opts_.watchdog_cost_multiple * proj) {
             SATTN_COUNTER_ADD("engine.watchdog_sheds", 1);
-            shed(std::move(*it), "watchdog");
+            shed(std::move(lr.req), "watchdog");
             it = live_.erase(it);
             continue;
           }
@@ -668,22 +647,11 @@ void ServingEngine::loop() {
         ++it;
         continue;
       }
-      const double waited = t_steer - lr.req.arrival_seconds;
-      bool dead = opts_.deadline_seconds > 0.0 && waited > opts_.deadline_seconds;
-      if (!dead && opts_.projected_prefill_seconds) {
-        const auto& proj = opts_.projected_prefill_seconds;
-        while (lr.level + 1 < levels) {
-          const double cur = proj(lr.req.prompt_tokens, scale_of(lr.level));
-          if (waited + cur <= target_ttft) break;
-          if (proj(lr.req.prompt_tokens, scale_of(lr.level + 1)) >= cur) break;
-          ++lr.level;
-        }
-        dead = opts_.deadline_seconds > 0.0 &&
-               waited + proj(lr.req.prompt_tokens, scale_of(lr.level)) > opts_.deadline_seconds;
-      }
-      if (dead) {
-        SATTN_COUNTER_ADD("sched.deadline_sheds", 1);
-        shed(std::move(*it), "deadline");
+      const ServingPolicy::Steer steer =
+          opts_.steer(t_steer - lr.req.arrival_seconds, lr.req.prompt_tokens, projected_cost);
+      lr.level = steer.level;
+      if (opts_.past_deadline(steer.projected_ttft)) {
+        shed(std::move(lr.req), "deadline");
         it = live_.erase(it);
       } else {
         ++it;
@@ -821,7 +789,7 @@ void ServingEngine::loop() {
         // multiplies the CRA threshold and window budget, the same knobs
         // the simulator's cost model scales.
         SampleAttentionConfig cfg = opts_.sample;
-        const double ds = scale_of(lr->level);
+        const double ds = opts_.density_scale(lr->level);
         cfg.alpha = std::min(1.0, cfg.alpha * ds);
         cfg.window_ratio = cfg.window_ratio * ds;
 
@@ -960,23 +928,14 @@ void ServingEngine::loop() {
         // kernel) is lost guardrail time, and the backoff gate is
         // guardrail-imposed waiting — the chunk is redone after it.
         lr->guard_s += st.plan_s + kernel_s;
-        if (lr->attempts > opts_.max_retries) {
-          SATTN_COUNTER_ADD("sched.retry_exhausted_sheds", 1);
-          for (auto it = live_.begin(); it != live_.end(); ++it) {
-            if (it->get() == lr) {
-              shed(std::move(*it), "retries_exhausted");
-              live_.erase(it);
-              break;
-            }
-          }
+        const std::optional<double> backoff = opts_.retry_backoff(lr->attempts);
+        if (!backoff) {
+          shed_live(lr, "retries_exhausted");
           continue;
         }
-        ++result_.retries;
-        SATTN_COUNTER_ADD("sched.request_retries", 1);
-        const double backoff =
-            opts_.retry_backoff_seconds * static_cast<double>(1 << (lr->attempts - 1));
-        lr->available_at = t_done + backoff;
-        lr->guard_s += backoff;
+        result_.record_retry();
+        lr->available_at = t_done + *backoff;
+        lr->guard_s += *backoff;
         ++lr->attempts;
         continue;
       }
@@ -1046,19 +1005,11 @@ void ServingEngine::loop() {
         lr->resid_has_plan = true;
       }
       lr->prefilled = st.q_hi;
-      const double ttft_so_far = t_done - lr->req.arrival_seconds;
-      if (opts_.deadline_seconds > 0.0 && ttft_so_far > opts_.deadline_seconds) {
+      if (opts_.past_deadline(t_done - lr->req.arrival_seconds)) {
         // Deadline enforcement between chunks: a request that blew its TTFT
         // deadline mid-prefill sheds now instead of burning the remaining
         // chunks' device time.
-        SATTN_COUNTER_ADD("sched.deadline_sheds", 1);
-        for (auto it = live_.begin(); it != live_.end(); ++it) {
-          if (it->get() == lr) {
-            shed(std::move(*it), "deadline");
-            live_.erase(it);
-            break;
-          }
-        }
+        shed_live(lr, "deadline");
         continue;
       }
       if (lr->prefilled >= lr->req.prompt_tokens) {
@@ -1125,17 +1076,10 @@ void ServingEngine::loop() {
                                 lr.attempts};
       c.base.compute_seconds = lr.compute_s;
       c.base.guard_seconds = lr.guard_s;
-      c.base.queue_seconds = c.base.ttft() - c.base.compute_seconds - c.base.guard_seconds;
       c.decoded_tokens = lr.decoded;
       c.tpot_seconds = lr.decoded > 0 ? lr.decode_total_s / static_cast<double>(lr.decoded) : 0.0;
       c.prefix_hit_tokens = lr.prefix_hit;
-      if (lr.level > 0) {
-        ++result_.degraded;
-        SATTN_COUNTER_ADD("sched.requests_degraded", 1);
-      }
-      ++result_.served_per_level[static_cast<std::size_t>(lr.level)];
-      emit_completion_metrics(opts_.run_label, c);
-      SATTN_COUNTER_ADD("sched.requests_completed", 1);
+      result_.record_completion(c.base, opts_.run_label, c.decoded_tokens, c.tpot_seconds);
       const double t_comp = now();
       tele_push(obs::TelemetryEventKind::kComplete, c.base.request.id, t_comp, c.tpot_seconds,
                 static_cast<std::uint32_t>(c.decoded_tokens));

@@ -7,9 +7,10 @@
 // forms a continuous batch each iteration (runtime/batch.h), interleaves
 // one chunked-prefill step or one decode step per live request through a
 // single ragged_attention_sweep, and measures what the simulator predicts —
-// per-request TTFT split into queue/compute/guard, TPOT over decode steps,
-// and the same admission / deadline / degrade-ladder / retry policies from
-// the SLO simulator applied to *measured* kernel time.
+// per-request TTFT split into queue/compute/guard, TPOT over decode steps.
+// Admission, deadlines, degrade-ladder steering, retry backoff and
+// completion accounting are the simulator's own ServingPolicy and
+// ServingTally (runtime/scheduler.h), applied to *measured* kernel time.
 //
 // Attribution contract (pinned by engine_test): for every completed
 // request, queue + compute + guard == ttft, where compute is the sum of
@@ -41,7 +42,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -66,7 +66,11 @@ namespace sattn {
 
 enum class EngineMode { kDense, kSampleAttention };
 
-struct EngineOptions {
+// The ServingPolicy base carries the shared policy fields (max_queue_depth,
+// max_prompt_tokens, deadline_seconds, slo_ttft_seconds,
+// degrade_density_scale, max_retries, retry_backoff_seconds); the engine
+// aborts at construction when they fail ServingPolicy::validate().
+struct EngineOptions : ServingPolicy {
   EngineMode mode = EngineMode::kDense;
   Index head_dim = 64;
 
@@ -77,15 +81,6 @@ struct EngineOptions {
   // Tokens decoded per request after prefill before it completes. TPOT is
   // the mean measured decode-step time. 0 skips decode.
   Index decode_tokens = 8;
-
-  // Policies, mirroring SloOptions (measured instead of modeled).
-  Index max_queue_depth = 0;      // shed "admission" beyond this many waiting
-  Index max_prompt_tokens = 0;    // shed "oversized" above this
-  double deadline_seconds = 0.0;  // hard TTFT deadline; 0 disables
-  double slo_ttft_seconds = 0.0;  // degrade-steering target; 0 disables
-  std::vector<double> degrade_density_scale = {1.0, 0.6, 0.35};
-  int max_retries = 2;
-  double retry_backoff_seconds = 0.05;
 
   // Chunk-level transient faults (deterministic in fault.seed): a firing
   // chunk's measured time is billed to guard and the chunk is redone.
@@ -98,11 +93,12 @@ struct EngineOptions {
 
   FlashConfig flash;
 
-  // Projected full-quality prefill seconds for a prompt at a density scale,
-  // calibrated by the caller from measured samples (bench_serving fits one
-  // from warmup chunks). Drives SLO degrade steering and deadline shedding
-  // at first service; null disables projection-based steering.
-  std::function<double(Index prompt_tokens, double density_scale)> projected_prefill_seconds;
+  // Projected prefill seconds for a prompt at a density scale, calibrated by
+  // the caller from measured samples (bench_serving fits one from warmup
+  // chunks). The cost ServingPolicy::steer projects with at first service;
+  // null projects zero cost, so there is no steering and only requests
+  // that already waited past the deadline shed.
+  PrefillCost projected_prefill_seconds;
 
   // Seed for the synthetic per-request Q/K/V content.
   std::uint64_t seed = 0x5e1ull;
@@ -229,13 +225,11 @@ struct CancelledRequest {
 // submitted request — the chaos harness's core invariant.
 enum class TerminalState { kCompleted, kShed, kCancelled };
 
-struct EngineResult {
+// The ServingTally base holds shed, degraded, retries (faulted chunks
+// retried) and served_per_level.
+struct EngineResult : ServingTally {
   std::vector<EngineCompletion> completed;
-  std::vector<ShedRequest> shed;
   std::vector<CancelledRequest> cancelled;
-  Index degraded = 0;  // completed below full quality
-  Index retries = 0;   // faulted chunks retried
-  std::vector<Index> served_per_level;
   Index iterations = 0;      // engine loop iterations that ran a sweep
   Index peak_live_batch = 0; // max requests in flight at once
 

@@ -36,6 +36,99 @@ double Engine::prefill_seconds(Index prompt_tokens, double density_scale) const 
   return linear;
 }
 
+Status ServingPolicy::validate() const {
+  SATTN_CHECK(deadline_seconds >= 0.0 && slo_ttft_seconds >= 0.0, kInvalidArgument,
+              "deadline/SLO must be >= 0, got deadline=", deadline_seconds,
+              " slo=", slo_ttft_seconds);
+  SATTN_CHECK(max_retries >= 0 && retry_backoff_seconds >= 0.0, kInvalidArgument,
+              "retry settings must be non-negative");
+  SATTN_CHECK(max_queue_depth >= 0 && max_prompt_tokens >= 0, kInvalidArgument,
+              "queue/prompt limits must be >= 0");
+  SATTN_CHECK(!degrade_density_scale.empty() && degrade_density_scale[0] == 1.0,
+              kInvalidArgument, "degrade ladder must start at 1.0 (full quality)");
+  for (double s : degrade_density_scale) {
+    SATTN_CHECK(s > 0.0 && s <= 1.0, kInvalidArgument, "degrade scale ", s, " not in (0,1]");
+  }
+  return Status::Ok();
+}
+
+double ServingPolicy::target_ttft() const {
+  return slo_ttft_seconds > 0.0   ? slo_ttft_seconds
+         : deadline_seconds > 0.0 ? deadline_seconds
+                                  : std::numeric_limits<double>::infinity();
+}
+
+const char* ServingPolicy::admit(Index prompt_tokens, Index waiting) const {
+  if (max_prompt_tokens > 0 && prompt_tokens > max_prompt_tokens) return "oversized";
+  if (prompt_tokens <= 0 || (max_queue_depth > 0 && waiting >= max_queue_depth)) {
+    return "admission";
+  }
+  return nullptr;
+}
+
+ServingPolicy::Steer ServingPolicy::steer(double waited, Index prompt_tokens,
+                                          const PrefillCost& cost) const {
+  Steer s;
+  double cur = cost(prompt_tokens, density_scale(0));
+  while (s.level + 1 < levels() && waited + cur > target_ttft()) {
+    const double next = cost(prompt_tokens, density_scale(s.level + 1));
+    if (next >= cur) break;  // the rung buys no time: not a degradation
+    ++s.level;
+    cur = next;
+  }
+  s.projected_ttft = waited + cur;
+  return s;
+}
+
+std::optional<double> ServingPolicy::retry_backoff(int attempts) const {
+  if (attempts > max_retries) return std::nullopt;
+  return std::ldexp(retry_backoff_seconds, attempts - 1);
+}
+
+std::string request_key(const std::string& run_label, const std::string& id) {
+  return run_label.empty() ? id : run_label + "/" + id;
+}
+
+void ServingTally::record_shed(ServingRequest req, std::string reason, double t) {
+  SATTN_COUNTER_ADD("sched.requests_shed", 1);
+  if (reason == "oversized") SATTN_COUNTER_ADD("sched.oversized_rejects", 1);
+  if (reason == "admission") SATTN_COUNTER_ADD("sched.admission_rejects", 1);
+  if (reason == "deadline") SATTN_COUNTER_ADD("sched.deadline_sheds", 1);
+  if (reason == "retries_exhausted") SATTN_COUNTER_ADD("sched.retry_exhausted_sheds", 1);
+  shed.push_back({std::move(req), std::move(reason), t});
+}
+
+void ServingTally::record_retry() {
+  ++retries;
+  SATTN_COUNTER_ADD("sched.request_retries", 1);
+}
+
+void ServingTally::record_completion(CompletedRequest& c, const std::string& run_label,
+                                     Index decoded_tokens, double tpot_seconds) {
+  c.queue_seconds = c.ttft() - c.compute_seconds - c.guard_seconds;
+  if (c.degrade_level > 0) {
+    ++degraded;
+    SATTN_COUNTER_ADD("sched.requests_degraded", 1);
+  }
+  ++served_per_level[static_cast<std::size_t>(c.degrade_level)];
+  SATTN_COUNTER_ADD("sched.requests_completed", 1);
+  if (!obs::enabled()) return;
+  // Per-request TTFT attribution, and request-id exemplars on the TTFT
+  // histogram so report tails point at real requests.
+  const std::string key = request_key(run_label, c.request.id);
+  auto& reg = obs::MetricsRegistry::global();
+  const std::string prefix = "request." + key + ".";
+  reg.gauge(prefix + "queue_s").set(c.queue_seconds);
+  reg.gauge(prefix + "compute_s").set(c.compute_seconds);
+  reg.gauge(prefix + "guard_s").set(c.guard_seconds);
+  reg.gauge(prefix + "ttft_s").set(c.ttft());
+  SATTN_HISTOGRAM_EX("sched.ttft_seconds", c.ttft(), key);
+  if (decoded_tokens > 0) {
+    reg.gauge(prefix + "tpot_s").set(tpot_seconds);
+    SATTN_HISTOGRAM("sched.tpot_seconds", tpot_seconds);
+  }
+}
+
 namespace {
 
 // Cumulative cost of prefilling the first `tokens` tokens of a request: the
@@ -47,125 +140,19 @@ double prefix_cost(const Engine& engine, Index tokens, double density_scale) {
   return engine.prefill_seconds(tokens, density_scale);
 }
 
-// Gauge key for one request: `request.<label>/<id>.` (no label segment when
-// the label is empty).
-std::string request_key(const std::string& run_label, const std::string& id) {
-  return run_label.empty() ? id : run_label + "/" + id;
-}
-
-// Publishes one completed request's TTFT attribution and tags the TTFT
-// histogram with the request id, so report tails point at real requests.
-void emit_request_metrics(const std::string& run_label, const CompletedRequest& c) {
-  if (!obs::enabled()) return;
-  const std::string key = request_key(run_label, c.request.id);
-  auto& reg = obs::MetricsRegistry::global();
-  const std::string prefix = "request." + key + ".";
-  reg.gauge(prefix + "queue_s").set(c.queue_seconds);
-  reg.gauge(prefix + "compute_s").set(c.compute_seconds);
-  reg.gauge(prefix + "guard_s").set(c.guard_seconds);
-  reg.gauge(prefix + "ttft_s").set(c.ttft());
-  SATTN_HISTOGRAM_EX("sched.ttft_seconds", c.ttft(), key);
-}
-
 }  // namespace
-
-std::vector<CompletedRequest> simulate_queue(std::span<const ServingRequest> requests,
-                                             const Engine& engine, Index chunk_quantum_tokens,
-                                             const std::string& run_label) {
-  SATTN_SPAN("runtime/scheduler");
-  std::vector<ServingRequest> sorted(requests.begin(), requests.end());
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const ServingRequest& a, const ServingRequest& b) {
-                     return a.arrival_seconds < b.arrival_seconds;
-                   });
-
-  struct InFlight {
-    ServingRequest req;
-    Index tokens_done = 0;
-    double cost_done = 0.0;  // prefix_cost at tokens_done (cached)
-    double start = -1.0;
-    double compute = 0.0;  // service time consumed so far
-  };
-
-  std::vector<CompletedRequest> done;
-  std::deque<InFlight> queue;
-  std::size_t next = 0;
-  double now = 0.0;
-
-  const auto admit_until = [&](double t) {
-    while (next < sorted.size() && sorted[next].arrival_seconds <= t) {
-      queue.push_back({sorted[next], 0, 0.0, -1.0});
-      ++next;
-      SATTN_COUNTER_ADD("sched.requests_enqueued", 1);
-      SATTN_COUNTER_MAX("sched.queue_depth_peak", queue.size());
-      SATTN_SERIES("sched.queue_depth", t, queue.size());
-    }
-  };
-
-  while (next < sorted.size() || !queue.empty()) {
-    if (queue.empty()) {
-      now = std::max(now, sorted[next].arrival_seconds);
-      admit_until(now);
-      continue;
-    }
-    InFlight job = queue.front();
-    queue.pop_front();
-    if (job.start < 0.0) job.start = now;
-
-    bool finished;
-    double slice;
-    if (chunk_quantum_tokens > 0 && job.req.prompt_tokens > 0) {
-      const Index target = std::min(job.req.prompt_tokens, job.tokens_done + chunk_quantum_tokens);
-      const double target_cost = prefix_cost(engine, target, 1.0);
-      slice = std::max(0.0, target_cost - job.cost_done);
-      job.tokens_done = target;
-      job.cost_done = target_cost;
-      finished = job.tokens_done >= job.req.prompt_tokens;
-    } else {
-      slice = prefix_cost(engine, job.req.prompt_tokens, 1.0);
-      finished = true;
-    }
-    now += slice;
-    job.compute += slice;
-    admit_until(now);
-    if (finished) {
-      SATTN_SERIES("sched.queue_depth", now, queue.size());
-      CompletedRequest c{job.req, job.start, now, 0, 1};
-      c.compute_seconds = job.compute;
-      c.guard_seconds = 0.0;
-      c.queue_seconds = c.ttft() - c.compute_seconds;
-      emit_request_metrics(run_label, c);
-      done.push_back(std::move(c));
-      SATTN_COUNTER_ADD("sched.requests_completed", 1);
-    } else {
-      queue.push_back(job);  // round-robin
-      SATTN_COUNTER_ADD("sched.preemptions", 1);
-    }
-  }
-  return done;
-}
 
 StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> requests,
                                               const Engine& engine, const SloOptions& opts) {
-  SATTN_CHECK(opts.deadline_seconds >= 0.0 && opts.slo_ttft_seconds >= 0.0, kInvalidArgument,
-              "deadline/SLO must be >= 0, got deadline=", opts.deadline_seconds,
-              " slo=", opts.slo_ttft_seconds);
+  SATTN_RETURN_IF_ERROR(opts.validate());
   SATTN_CHECK(opts.fault_rate >= 0.0 && opts.fault_rate <= 1.0, kInvalidArgument,
               "fault_rate must be in [0,1], got ", opts.fault_rate);
   SATTN_CHECK(opts.stall_rate >= 0.0 && opts.stall_rate <= 1.0, kInvalidArgument,
               "stall_rate must be in [0,1], got ", opts.stall_rate);
   SATTN_CHECK(opts.stall_factor >= 1.0, kInvalidArgument, "stall_factor must be >= 1, got ",
               opts.stall_factor);
-  SATTN_CHECK(opts.max_retries >= 0 && opts.retry_backoff_seconds >= 0.0, kInvalidArgument,
-              "retry settings must be non-negative");
-  SATTN_CHECK(opts.max_queue_depth >= 0 && opts.max_prompt_tokens >= 0 &&
-                  opts.chunk_quantum_tokens >= 0,
-              kInvalidArgument, "queue/prompt/quantum limits must be >= 0");
-  SATTN_CHECK(!opts.degrade_density_scale.empty() && opts.degrade_density_scale[0] == 1.0,
-              kInvalidArgument, "degrade ladder must start at 1.0 (full quality)");
-  for (double s : opts.degrade_density_scale) {
-    SATTN_CHECK(s > 0.0 && s <= 1.0, kInvalidArgument, "degrade scale ", s, " not in (0,1]");
-  }
+  SATTN_CHECK(opts.chunk_quantum_tokens >= 0, kInvalidArgument,
+              "chunk quantum must be >= 0, got ", opts.chunk_quantum_tokens);
 
   SATTN_SPAN("runtime/scheduler_slo");
   std::vector<ServingRequest> sorted(requests.begin(), requests.end());
@@ -186,36 +173,25 @@ StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> re
     double guard = 0.0;    // lost attempts + stall excess + backoff gates
   };
 
-  const int levels = static_cast<int>(opts.degrade_density_scale.size());
-  const auto scale_of = [&](int level) {
-    return opts.degrade_density_scale[static_cast<std::size_t>(level)];
+  const PrefillCost cost = [&engine](Index prompt_tokens, double density_scale) {
+    return engine.prefill_seconds(prompt_tokens, density_scale);
   };
 
   SloServingResult result;
-  result.served_per_level.assign(static_cast<std::size_t>(levels), 0);
+  result.served_per_level.assign(static_cast<std::size_t>(opts.levels()), 0);
   Rng rng(opts.seed);
   std::deque<InFlight> queue;
   std::size_t next = 0;
   double now = 0.0;
 
-  const auto shed = [&](ServingRequest req, const char* reason, double t) {
-    result.shed.push_back({std::move(req), reason, t});
-    SATTN_COUNTER_ADD("sched.requests_shed", 1);
-  };
-
   const auto admit_until = [&](double t) {
     while (next < sorted.size() && sorted[next].arrival_seconds <= t) {
       ServingRequest req = sorted[next];
       ++next;
-      if (opts.max_prompt_tokens > 0 && req.prompt_tokens > opts.max_prompt_tokens) {
-        SATTN_COUNTER_ADD("sched.oversized_rejects", 1);
-        shed(std::move(req), "oversized", req.arrival_seconds);
-        continue;
-      }
-      if (opts.max_queue_depth > 0 &&
-          static_cast<Index>(queue.size()) >= opts.max_queue_depth) {
-        SATTN_COUNTER_ADD("sched.admission_rejects", 1);
-        shed(std::move(req), "admission", req.arrival_seconds);
+      if (const char* reason =
+              opts.admit(req.prompt_tokens, static_cast<Index>(queue.size()))) {
+        const double arrival = req.arrival_seconds;
+        result.record_shed(std::move(req), reason, arrival);
         continue;
       }
       queue.push_back({std::move(req), 0, 0.0, -1.0, 0.0, 0, 1});
@@ -255,29 +231,16 @@ StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> re
       // Service is starting: steer the degrade ladder against the SLO and
       // shed what cannot make the hard deadline even fully degraded.
       job.start = now;
-      const double waited = now - job.req.arrival_seconds;
-      const double target = opts.slo_ttft_seconds > 0.0   ? opts.slo_ttft_seconds
-                            : opts.deadline_seconds > 0.0 ? opts.deadline_seconds
-                                                          : std::numeric_limits<double>::infinity();
-      while (job.level + 1 < levels) {
-        const double cur = engine.prefill_seconds(job.req.prompt_tokens, scale_of(job.level));
-        if (waited + cur <= target) break;
-        // Take the next rung only if it actually buys time — for exact
-        // engines the ladder is a no-op and must not be reported as
-        // degradation.
-        if (engine.prefill_seconds(job.req.prompt_tokens, scale_of(job.level + 1)) >= cur) break;
-        ++job.level;
-      }
-      if (opts.deadline_seconds > 0.0 &&
-          waited + engine.prefill_seconds(job.req.prompt_tokens, scale_of(job.level)) >
-              opts.deadline_seconds) {
-        SATTN_COUNTER_ADD("sched.deadline_sheds", 1);
-        shed(std::move(job.req), "deadline", now);
+      const ServingPolicy::Steer steer =
+          opts.steer(now - job.req.arrival_seconds, job.req.prompt_tokens, cost);
+      job.level = steer.level;
+      if (opts.past_deadline(steer.projected_ttft)) {
+        result.record_shed(std::move(job.req), "deadline", now);
         continue;
       }
     }
 
-    const double scale = scale_of(job.level);
+    const double scale = opts.density_scale(job.level);
     const Index prev_tokens = job.tokens_done;
     bool finished;
     double slice;
@@ -315,20 +278,17 @@ StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> re
       // would break queue + compute + guard == ttft the moment measured
       // times replace modeled ones (the redone chunk's compute would be
       // counted twice).
-      const double slo_target = opts.slo_ttft_seconds > 0.0   ? opts.slo_ttft_seconds
-                                : opts.deadline_seconds > 0.0 ? opts.deadline_seconds
-                                                              : 0.0;
-      if (slo_target > 0.0 && job.level + 1 < levels) {
+      if (job.level + 1 < opts.levels()) {
         const double remaining =
             prefix_cost(engine, job.req.prompt_tokens, scale) - job.cost_done;
-        if ((now - job.req.arrival_seconds) + remaining > slo_target &&
-            engine.prefill_seconds(job.req.prompt_tokens, scale_of(job.level + 1)) <
+        if ((now - job.req.arrival_seconds) + remaining > opts.target_ttft() &&
+            engine.prefill_seconds(job.req.prompt_tokens, opts.density_scale(job.level + 1)) <
                 engine.prefill_seconds(job.req.prompt_tokens, scale)) {
           ++job.level;
           job.compute -= base_slice;
           job.guard += base_slice;
           job.tokens_done = prev_tokens;
-          job.cost_done = prefix_cost(engine, prev_tokens, scale_of(job.level));
+          job.cost_done = prefix_cost(engine, prev_tokens, opts.density_scale(job.level));
           SATTN_COUNTER_ADD("sched.midstream_escalations", 1);
         }
       }
@@ -338,19 +298,16 @@ StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> re
     }
     if (opts.fault_rate > 0.0 && rng.uniform() < opts.fault_rate) {
       // Transient failure: the attempt's work is lost.
-      if (job.attempts > opts.max_retries) {
-        SATTN_COUNTER_ADD("sched.retry_exhausted_sheds", 1);
-        shed(std::move(job.req), "retries_exhausted", now);
+      const std::optional<double> backoff = opts.retry_backoff(job.attempts);
+      if (!backoff) {
+        result.record_shed(std::move(job.req), "retries_exhausted", now);
         continue;
       }
-      ++result.retries;
-      SATTN_COUNTER_ADD("sched.request_retries", 1);
-      const double backoff =
-          opts.retry_backoff_seconds * static_cast<double>(1 << (job.attempts - 1));
-      job.available_at = now + backoff;
+      result.record_retry();
+      job.available_at = now + *backoff;
       // The whole attempt's useful time is lost, and the backoff gate is
       // guardrail-imposed waiting.
-      job.guard += job.compute + backoff;
+      job.guard += job.compute + *backoff;
       job.compute = 0.0;
       ++job.attempts;
       job.tokens_done = 0;
@@ -358,27 +315,18 @@ StatusOr<SloServingResult> simulate_queue_slo(std::span<const ServingRequest> re
       queue.push_back(job);
       continue;
     }
-    const double ttft = now - job.req.arrival_seconds;
-    if (opts.deadline_seconds > 0.0 && ttft > opts.deadline_seconds) {
+    if (opts.past_deadline(now - job.req.arrival_seconds)) {
       // Finished late (stalls/retries ate the margin): counts as a
       // deadline violation, not a serve.
-      SATTN_COUNTER_ADD("sched.deadline_sheds", 1);
-      shed(std::move(job.req), "deadline", now);
+      result.record_shed(std::move(job.req), "deadline", now);
       continue;
     }
-    if (job.level > 0) {
-      ++result.degraded;
-      SATTN_COUNTER_ADD("sched.requests_degraded", 1);
-    }
-    ++result.served_per_level[static_cast<std::size_t>(job.level)];
     SATTN_SERIES("sched.queue_depth", now, queue.size());
     CompletedRequest c{std::move(job.req), job.start, now, job.level, job.attempts};
     c.compute_seconds = job.compute;
     c.guard_seconds = job.guard;
-    c.queue_seconds = c.ttft() - c.compute_seconds - c.guard_seconds;
-    emit_request_metrics(opts.run_label, c);
+    result.record_completion(c, opts.run_label);
     result.completed.push_back(std::move(c));
-    SATTN_COUNTER_ADD("sched.requests_completed", 1);
   }
   return result;
 }

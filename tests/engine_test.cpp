@@ -383,6 +383,15 @@ TEST_F(EngineObs, FaultedChunksRetryWithBackoffBilledToGuard) {
   EXPECT_GE(counter_value("sched.request_retries"), 2.0);
 }
 
+TEST(ServingEngineDeathTest, InvalidPolicyAbortsAtConstruction) {
+  // A ladder that does not start at full quality would serve every request
+  // degraded while counting it as level 0; the engine refuses it outright.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EngineOptions opts = small_engine();
+  opts.degrade_density_scale = {0.5, 0.25};
+  EXPECT_DEATH({ ServingEngine engine(opts); }, "degrade ladder must start at 1.0");
+}
+
 TEST(ServingEngineTest, RetryExhaustionShedsTheRequest) {
   EngineOptions opts = small_engine();
   opts.decode_tokens = 0;

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <optional>
+#include <span>
 
 #include "attention/full_attention.h"
 #include "metrics/recovery.h"
@@ -13,6 +16,17 @@
 
 namespace sattn {
 namespace {
+
+// The simulator with no guardrail armed: a FCFS queue, or round-robin with
+// the given chunk quantum.
+std::vector<CompletedRequest> plain_queue(std::span<const ServingRequest> requests,
+                                          const Engine& engine, Index chunk_quantum_tokens = 0,
+                                          const std::string& run_label = {}) {
+  SloOptions opts;
+  opts.chunk_quantum_tokens = chunk_quantum_tokens;
+  opts.run_label = run_label;
+  return simulate_queue_slo(requests, engine, opts).value().completed;
+}
 
 TEST(Engine, PrefillLatencyOrdering) {
   Engine sdpa, fa2, sa;
@@ -36,7 +50,7 @@ TEST(Engine, QuadraticGrowth) {
 TEST(Scheduler, SingleRequestNoQueueing) {
   Engine fa2;
   std::vector<ServingRequest> reqs = {{"r0", 32768, 1.0}};
-  const auto done = simulate_queue(reqs, fa2);
+  const auto done = plain_queue(reqs, fa2);
   ASSERT_EQ(done.size(), 1u);
   EXPECT_DOUBLE_EQ(done[0].queueing(), 0.0);
   EXPECT_NEAR(done[0].ttft(), fa2.prefill_seconds(32768), 1e-9);
@@ -46,7 +60,7 @@ TEST(Scheduler, FcfsQueueingAccumulates) {
   Engine fa2;
   // Two requests arriving together: the second waits for the first.
   std::vector<ServingRequest> reqs = {{"r0", 65536, 0.0}, {"r1", 8192, 0.0}};
-  const auto done = simulate_queue(reqs, fa2);
+  const auto done = plain_queue(reqs, fa2);
   ASSERT_EQ(done.size(), 2u);
   const CompletedRequest& second = done[1];
   EXPECT_EQ(second.request.id, "r1");
@@ -58,8 +72,8 @@ TEST(Scheduler, ChunkQuantumBoundsHeadOfLineBlocking) {
   // A monster request followed shortly by a tiny one: with chunked
   // round-robin the tiny one's TTFT is far smaller than FCFS.
   std::vector<ServingRequest> reqs = {{"big", 262144, 0.0}, {"small", 4096, 0.01}};
-  const auto fcfs = simulate_queue(reqs, fa2, 0);
-  const auto rr = simulate_queue(reqs, fa2, 8192);
+  const auto fcfs = plain_queue(reqs, fa2, 0);
+  const auto rr = plain_queue(reqs, fa2, 8192);
   const auto find = [](const std::vector<CompletedRequest>& v, const std::string& id) {
     for (const auto& c : v) {
       if (c.request.id == id) return c.ttft();
@@ -78,7 +92,7 @@ TEST(Scheduler, ZeroQuantumIsExactlyFcfs) {
   Engine fa2;
   std::vector<ServingRequest> reqs = {
       {"a", 65536, 0.0}, {"b", 8192, 0.5}, {"c", 131072, 0.6}, {"d", 4096, 0.7}};
-  const auto done = simulate_queue(reqs, fa2, 0);
+  const auto done = plain_queue(reqs, fa2, 0);
   ASSERT_EQ(done.size(), 4u);
   double clock = 0.0;
   for (std::size_t r = 0; r < done.size(); ++r) {
@@ -97,7 +111,7 @@ TEST(Scheduler, MidQuantumArrivalNotOvercharged) {
   Engine fa2;
   const Index quantum = 8192;
   std::vector<ServingRequest> reqs = {{"big", 262144, 0.0}, {"small", 4096, 0.01}};
-  const auto done = simulate_queue(reqs, fa2, quantum);
+  const auto done = plain_queue(reqs, fa2, quantum);
   double small_queueing = -1.0;
   for (const auto& c : done) {
     if (c.request.id == "small") small_queueing = c.queueing();
@@ -255,8 +269,82 @@ TEST(SloServing, RejectsInvalidOptions) {
   ladder.degrade_density_scale = {0.5, 0.25};  // must start at 1.0
   EXPECT_EQ(simulate_queue_slo(reqs, fa2, ladder).status().code(),
             StatusCode::kInvalidArgument);
+  ladder.degrade_density_scale = {};
+  EXPECT_EQ(simulate_queue_slo(reqs, fa2, ladder).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(synthetic_trace(0, 16, 32, 1.0).status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(synthetic_trace(4, 32, 16, 1.0).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ServingPolicy, TargetTtftPrecedence) {
+  ServingPolicy p;
+  EXPECT_EQ(p.target_ttft(), std::numeric_limits<double>::infinity());
+  p.deadline_seconds = 9.0;
+  EXPECT_DOUBLE_EQ(p.target_ttft(), 9.0);
+  p.slo_ttft_seconds = 4.0;
+  EXPECT_DOUBLE_EQ(p.target_ttft(), 4.0);
+}
+
+TEST(ServingPolicy, SteerWalksTheLadderOnlyWhenARungBuysTime) {
+  ServingPolicy p;
+  p.slo_ttft_seconds = 5.0;  // ladder {1.0, 0.6, 0.35}
+  const PrefillCost scaled = [](Index, double scale) { return 10.0 * scale; };
+  ServingPolicy::Steer s = p.steer(0.0, 1024, scaled);
+  EXPECT_EQ(s.level, 2);  // 10 and 6 miss the target; 3.5 is the bottom rung
+  EXPECT_DOUBLE_EQ(s.projected_ttft, 3.5);
+  p.slo_ttft_seconds = 7.0;
+  s = p.steer(0.0, 1024, scaled);
+  EXPECT_EQ(s.level, 1);  // the first rung that fits
+  EXPECT_DOUBLE_EQ(s.projected_ttft, 6.0);
+  s = p.steer(0.0, 1024, [](Index, double scale) { return 4.0 * scale; });
+  EXPECT_EQ(s.level, 0);  // full quality already fits
+
+  // Exact engines: the next rung is not cheaper, so steering is a no-op.
+  Engine fa2;
+  const PrefillCost exact = [&fa2](Index tokens, double scale) {
+    return fa2.prefill_seconds(tokens, scale);
+  };
+  s = p.steer(100.0, 64 * 1024, exact);
+  EXPECT_EQ(s.level, 0);
+  EXPECT_DOUBLE_EQ(s.projected_ttft, 100.0 + fa2.prefill_seconds(64 * 1024));
+  // Zero cost (an engine without a projection): no-op, projection = waited.
+  s = p.steer(100.0, 64 * 1024, [](Index, double) { return 0.0; });
+  EXPECT_EQ(s.level, 0);
+  EXPECT_DOUBLE_EQ(s.projected_ttft, 100.0);
+}
+
+TEST(ServingPolicy, PastDeadlineOnlyWhenArmed) {
+  ServingPolicy p;
+  EXPECT_FALSE(p.past_deadline(1e9));
+  p.deadline_seconds = 2.0;
+  EXPECT_FALSE(p.past_deadline(2.0));
+  EXPECT_TRUE(p.past_deadline(2.0 + 1e-9));
+}
+
+TEST(ServingPolicy, RetryBackoffDoublesUntilExhausted) {
+  ServingPolicy p;
+  p.max_retries = 3;
+  p.retry_backoff_seconds = 0.5;
+  EXPECT_EQ(p.retry_backoff(1), 0.5);
+  EXPECT_EQ(p.retry_backoff(2), 1.0);
+  EXPECT_EQ(p.retry_backoff(3), 2.0);
+  EXPECT_EQ(p.retry_backoff(4), std::nullopt);
+  p.max_retries = 40;  // a deep retry budget doubles past any int shift
+  EXPECT_EQ(p.retry_backoff(40), std::ldexp(0.5, 39));
+  p.max_retries = 0;
+  EXPECT_EQ(p.retry_backoff(1), std::nullopt);
+}
+
+TEST(ServingPolicy, AdmissionChecksOversizedFirst) {
+  ServingPolicy p;
+  EXPECT_EQ(p.admit(1 << 20, 1000), nullptr);  // no limits armed
+  EXPECT_STREQ(p.admit(0, 0), "admission");    // an empty prompt never admits
+  p.max_prompt_tokens = 100;
+  p.max_queue_depth = 2;
+  EXPECT_STREQ(p.admit(101, 5), "oversized");  // oversized wins over a full queue
+  EXPECT_STREQ(p.admit(50, 2), "admission");
+  EXPECT_STREQ(p.admit(0, 0), "admission");
+  EXPECT_EQ(p.admit(100, 1), nullptr);
 }
 
 TEST(SloServing, DegradedEngineIsFaster) {
@@ -277,8 +365,8 @@ TEST(Scheduler, SampleEngineImprovesMeanTtft) {
   fa2.kind = EngineKind::kFlashAttention;
   sa.kind = EngineKind::kSampleAttention;
   sa.kept_density = 0.25;
-  const ServingSummary s_fa2 = summarize(simulate_queue(trace, fa2));
-  const ServingSummary s_sa = summarize(simulate_queue(trace, sa));
+  const ServingSummary s_fa2 = summarize(plain_queue(trace, fa2));
+  const ServingSummary s_sa = summarize(plain_queue(trace, sa));
   EXPECT_LT(s_sa.mean_ttft, s_fa2.mean_ttft);
   EXPECT_LT(s_sa.makespan, s_fa2.makespan);
   // Queueing amplification: the TTFT gain exceeds the raw prefill gain on a
@@ -327,7 +415,7 @@ TEST_F(SchedulerObs, FcfsAttributionSumsToTtftAndEmitsGauges) {
   Engine fa2;
   fa2.kind = EngineKind::kFlashAttention;
   const auto trace = synthetic_trace(12, 16 * 1024, 128 * 1024, 2.0, 5).value();
-  const auto done = simulate_queue(trace, fa2, /*chunk_quantum_tokens=*/0, "fcfs_t");
+  const auto done = plain_queue(trace, fa2, /*chunk_quantum_tokens=*/0, "fcfs_t");
   ASSERT_EQ(done.size(), trace.size());
 
   const obs::MetricsSnapshot snap = obs::MetricsRegistry::global().snapshot();
@@ -371,7 +459,7 @@ TEST_F(SchedulerObs, FcfsAttributionSumsToTtftAndEmitsGauges) {
   // Round-robin chunking must preserve the invariant, and the quanta
   // telescope so compute is still exactly the full prefill cost.
   obs::MetricsRegistry::global().reset();
-  const auto rr = simulate_queue(trace, fa2, /*chunk_quantum_tokens=*/8192, "rr_t");
+  const auto rr = plain_queue(trace, fa2, /*chunk_quantum_tokens=*/8192, "rr_t");
   ASSERT_EQ(rr.size(), trace.size());
   for (const CompletedRequest& c : rr) {
     EXPECT_NEAR(c.queue_seconds + c.compute_seconds + c.guard_seconds, c.ttft(), 1e-9)
@@ -385,7 +473,7 @@ TEST_F(SchedulerObs, FcfsAttributionSumsToTtftAndEmitsGauges) {
   // dangling slash.
   obs::MetricsRegistry::global().reset();
   std::vector<ServingRequest> one = {{"r0", 32768, 0.0}};
-  (void)simulate_queue(one, fa2);
+  (void)plain_queue(one, fa2);
   const obs::MetricsSnapshot plain = obs::MetricsRegistry::global().snapshot();
   EXPECT_GT(gauge_value(plain, "request.r0.ttft_s"), 0.0);
 }

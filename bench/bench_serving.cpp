@@ -13,6 +13,10 @@
 // injected at --fault-rate, and the SampleAttention engine degrades its
 // density budget to keep p99 TTFT inside --slo-ttft-s, shedding what cannot
 // make the deadline. Flags: --fault-rate=F --deadline-s=D --slo-ttft-s=T.
+//
+// Self-checks: --prefix (which the default run ends in), --engine and
+// --audit-rate exit 1 when a result crosses its limit below, as --chaos
+// does when a lifecycle invariant breaks.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -37,6 +41,16 @@
 using namespace sattn;
 
 namespace {
+
+// Warm-vs-cold TTFT cut the prefix cache must keep on the --prefix replay.
+constexpr double kMinPrefixTtftReduction = 0.30;
+// Largest simulator-vs-engine relative error on a gated --engine row. Loose:
+// the engine's measured tails carry scheduler jitter the simulator cannot
+// model, but a blown-out error means the simulator no longer predicts it.
+constexpr double kMaxEngineError = 1.0;
+// Largest planner overclaim (predicted CRA minus audited p50) per head in
+// the --audit-rate run. A negative gap (conservative planner) always passes.
+constexpr double kMaxAuditCraGap = 0.05;
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0.0;
@@ -123,11 +137,11 @@ double measured_decode_seconds(Index s, Index d, const FlashConfig& flash) {
 // through simulate_queue_slo with a cost model calibrated from measured
 // chunk sweeps, and through the real continuous-batching engine
 // (runtime/engine.h). Publishes engine.predicted.* / engine.measured.* /
-// engine.err.* gauges (the run report's `engine` view; the err gauges gate
-// via tools/bench_diff --engine-error-threshold). With --audit-rate=F > 0 an
-// additional sample-mode run arms the online quality auditor and publishes
-// the audit.* scorecard gauges (the run report's `quality_audit` view; the
-// cra_gap gauges gate via tools/bench_diff --audit-cra-threshold).
+// engine.err.* gauges (the run report's `engine` view) and exits 1 when an
+// err gauge exceeds kMaxEngineError. With --audit-rate=F > 0 an additional
+// sample-mode run arms the online quality auditor and publishes the audit.*
+// scorecard gauges (the run report's `quality_audit` view), and a head
+// whose cra_gap exceeds kMaxAuditCraGap also exits 1.
 int run_engine_mode(const sattn::bench::FlagParser& flags) {
   const Index n_requests = static_cast<Index>(flags.int_flag("--requests", 64));
   const Index d = 64;
@@ -245,7 +259,7 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
     const char* metric;
     double predicted;
     double measured;
-    // Gated rows emit engine.err.* (bench_diff --engine-error-threshold).
+    // Gated rows emit engine.err.* and must stay within kMaxEngineError.
     // The raw tpot_p99 stays report-only — the tail of a ~30us decode step
     // over 64 requests is dominated by OS scheduling jitter, not model
     // fidelity — but its robust versions are gated: p95 ignores the extreme
@@ -263,13 +277,19 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
       {"tpot_p99_s", percentile(pred_tpot, 0.99), percentile(meas_tpot, 0.99), false},
   };
   TextTable t({"metric", "predicted (simulator)", "measured (engine)", "rel err"});
+  bool ok = true;
   for (const Row& r : rows) {
     const double err = std::abs(r.measured - r.predicted) / std::max(r.predicted, 1e-9);
     t.add_row({r.metric, fmt(r.predicted * 1e3, 2) + "ms", fmt(r.measured * 1e3, 2) + "ms",
                fmt(err * 100.0, 1) + "%"});
     SATTN_GAUGE_SET(std::string("engine.predicted.") + r.metric, r.predicted);
     SATTN_GAUGE_SET(std::string("engine.measured.") + r.metric, r.measured);
-    if (r.gated) SATTN_GAUGE_SET(std::string("engine.err.") + r.metric, err);
+    if (!r.gated) continue;
+    SATTN_GAUGE_SET(std::string("engine.err.") + r.metric, err);
+    if (err > kMaxEngineError) {
+      ok = false;
+      std::printf("CHECK FAILED: engine.err.%s = %.3f > %.2f\n", r.metric, err, kMaxEngineError);
+    }
   }
   t.print();
   SATTN_GAUGE_SET("engine.measured.completed", static_cast<double>(res.completed.size()));
@@ -296,8 +316,8 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
   // The auditor shadow-samples query rows, recomputes ground-truth softmax
   // rows, and scores the deployed masks — the per-head scorecard below is
   // MEASURED CRA vs the planner's predicted CRA, and the published audit.*
-  // gauges feed the run report's `quality_audit` view (gated by
-  // tools/bench_diff --audit-cra-threshold).
+  // gauges feed the run report's `quality_audit` view; a head's cra_gap
+  // must stay within kMaxAuditCraGap.
   const double audit_rate = flags.double_flag("--audit-rate", 0.0);
   if (audit_rate > 0.0) {
     EngineOptions ea = eo;
@@ -317,9 +337,14 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
     TextTable at({"head", "rows", "measured p5", "measured p50", "measured min", "predicted",
                   "gap (pred-p50)"});
     for (const obs::AuditHeadStats& hs : auditor->head_stats()) {
-      at.add_row({"L" + std::to_string(hs.layer) + "H" + std::to_string(hs.head),
-                  std::to_string(hs.rows), fmt(hs.cra_p5, 3), fmt(hs.cra_p50, 3),
+      const std::string head = "L" + std::to_string(hs.layer) + "H" + std::to_string(hs.head);
+      at.add_row({head, std::to_string(hs.rows), fmt(hs.cra_p5, 3), fmt(hs.cra_p50, 3),
                   fmt(hs.cra_min, 3), fmt(hs.predicted, 3), fmt(hs.cra_gap, 3)});
+      if (hs.cra_gap > kMaxAuditCraGap) {
+        ok = false;
+        std::printf("CHECK FAILED: audit.%s.cra_gap = %.3f > %.2f\n", head.c_str(), hs.cra_gap,
+                    kMaxAuditCraGap);
+      }
     }
     at.print();
     const auto totals = auditor->totals();
@@ -330,7 +355,7 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
                 totals.overhead_seconds * 1e3, ares.completed.size(),
                 static_cast<long long>(n_requests));
   }
-  return 0;
+  return ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -345,8 +370,8 @@ int run_engine_mode(const sattn::bench::FlagParser& flags) {
 //      from the content-hash index and skips those chunks.
 //
 // Published gauges (the run report's `kv` view): kv.prefix_hit_rate,
-// kv.prefix_hit_token_frac, kv.prefix_ttft_reduction (gated by
-// tools/bench_diff --prefix-ttft-min), kv.peak_kv_bytes_{cold,warm},
+// kv.prefix_hit_token_frac, kv.prefix_ttft_reduction (the run exits 1 when
+// it falls below kMinPrefixTtftReduction), kv.peak_kv_bytes_{cold,warm},
 // kv.pages_peak, kv.prefix_entries. A third, sample-mode run with
 // kv_sparse_residency measures how many pages the StructuredMask actually
 // pins (kv.residency_page_ratio vs the dense full-page count).
@@ -449,10 +474,12 @@ int run_prefix_mode(const sattn::bench::FlagParser& flags) {
              fmt(1e3 * cold_sum / std::max(1.0, hit_requests), 2),
              fmt(1e3 * warm_sum / std::max(1.0, hit_requests), 2)});
   t.print();
+  const bool prefix_ok = ttft_reduction >= kMinPrefixTtftReduction;
   std::printf("\nprefix hit rate %.2f (%g of %g requests), %.1f%% of prompt tokens served "
-              "from shared pages\nwarm-prefix TTFT reduction: %.1f%% (gate: bench_diff "
-              "--prefix-ttft-min)\n",
-              hit_rate, hit_requests, n, token_frac * 100.0, ttft_reduction * 100.0);
+              "from shared pages\nwarm-prefix TTFT reduction: %.1f%% (floor %.0f%%)\n",
+              hit_rate, hit_requests, n, token_frac * 100.0, ttft_reduction * 100.0,
+              kMinPrefixTtftReduction * 100.0);
+  if (!prefix_ok) std::printf("CHECK FAILED: warm-prefix TTFT reduction below its floor\n");
 
   SATTN_GAUGE_SET("kv.prefix_hit_rate", hit_rate);
   SATTN_GAUGE_SET("kv.prefix_hit_token_frac", token_frac);
@@ -516,7 +543,7 @@ int run_prefix_mode(const sattn::bench::FlagParser& flags) {
   SATTN_GAUGE_SET("kv.residency_pages_resident", static_cast<double>(sres.kv_pages_resident));
   SATTN_GAUGE_SET("kv.residency_pages_full", static_cast<double>(sres.kv_pages_full));
   SATTN_GAUGE_SET("kv.residency_evictions", static_cast<double>(sres.kv_residency_evictions));
-  return 0;
+  return prefix_ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
@@ -660,7 +687,7 @@ int run_chaos_mode(const sattn::bench::FlagParser& flags) {
   chaos_check(stormed.retries + static_cast<Index>(stormed.shed.size()) > 0,
               "storm faults must fire");
 
-  // The run report's engine view picks these up (scripts/run_benches.sh).
+  // The run report's engine view picks these up.
   SATTN_GAUGE_SET("engine.measured.chaos_baseline_peak_kv_bytes", baseline.peak_kv_bytes);
   SATTN_GAUGE_SET("engine.measured.chaos_kv_budget_bytes", budget);
   SATTN_GAUGE_SET("engine.measured.chaos_squeezed_peak_kv_bytes", squeezed.peak_kv_bytes);
@@ -695,7 +722,7 @@ int main(int argc, char** argv) {
   if (flags.has_flag("--chaos")) return run_chaos_mode(flags);
   // --prefix: paged-KV prefix-cache replay — warm-vs-cold TTFT on a
   // multi-turn shared-prompt trace, plus the sparse-residency page ratio
-  // (gated by tools/bench_diff --prefix-ttft-min).
+  // (non-zero exit below the TTFT-reduction floor).
   if (flags.has_flag("--prefix")) return run_prefix_mode(flags);
   const double fault_rate = flags.double_flag("--fault-rate", 0.05);
   const double deadline_s = flags.double_flag("--deadline-s", 150.0);
@@ -802,9 +829,9 @@ int main(int argc, char** argv) {
       "p99 TTFT inside the SLO with more requests served than the exact engine.\n");
   std::printf("results also written to %s\n", csv_path.c_str());
 
-  // The paged-KV prefix-cache replay runs as part of the default suite so
-  // bench_all's merged report (and the committed baseline) always carries
-  // the kv.* gauges and the bench_diff --prefix-ttft-min gate stays armed.
+  // The paged-KV prefix-cache replay runs as part of the default run, so its
+  // report always carries the kv.* gauges and the TTFT-reduction floor is
+  // always checked.
   std::printf("\n");
   return run_prefix_mode(flags);
 }

@@ -29,6 +29,7 @@ void measured_breakdown_rows(TextTable& t, const ModelConfig& model, Index s) {
   const double b_s1 = obs::total_seconds(before, "sattn/stage1_sampling");
   const double b_s2 = obs::total_seconds(before, "sattn/stage2_filtering");
   const double b_mg = obs::total_seconds(before, "sattn/merge");
+  const double b_dn = obs::total_seconds(before, "sattn/density");
   const double b_kn = obs::total_seconds(before, "kernel/sparse_flash");
 
   const SampleAttention method;
@@ -47,7 +48,8 @@ void measured_breakdown_rows(TextTable& t, const ModelConfig& model, Index s) {
   const auto after = col.spans();
   const double s1 = obs::total_seconds(after, "sattn/stage1_sampling") - b_s1;
   const double s2 = obs::total_seconds(after, "sattn/stage2_filtering") - b_s2 +
-                    obs::total_seconds(after, "sattn/merge") - b_mg;
+                    obs::total_seconds(after, "sattn/merge") - b_mg +
+                    obs::total_seconds(after, "sattn/density") - b_dn;
   const double kn = obs::total_seconds(after, "kernel/sparse_flash") - b_kn;
   const double total = s1 + s2 + kn;
   const double measured_share = total > 0.0 ? (s1 + s2) / total : 0.0;

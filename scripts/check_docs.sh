@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Doc link/target checker, run as a ctest entry (`check_docs`).
 #
-# Scans README.md and docs/*.md for backticked references and fails when:
+# Scans README.md, docs/*.md and .claude/skills/verify/SKILL.md for
+# backticked references and fails when:
 #   1. a path-like token (`src/...`, `docs/...`, `tests/...`, `bench/...`,
 #      `examples/...`, `scripts/...`, `tools/...`) does not exist in the
 #      repo, or
 #   2. a build-target-like token (`bench_*`, `*_test`, `*_demo`, `sattn_cli`)
-#      is not declared in any CMakeLists.txt, or
-#   3. a required doc section is missing (the regression-gate workflow in
+#      is not declared in any CMakeLists.txt; for a command line that is its
+#      first word, with any `./build/<dir>/` prefix removed, or
+#   3. a required doc section is missing (the run-report section in
 #      docs/OBSERVABILITY.md).
 #
 # Usage: check_docs.sh <repo-root>
@@ -20,6 +22,7 @@ fail=0
 
 docs=(README.md)
 while IFS= read -r f; do docs+=("$f"); done < <(find docs -name '*.md' | sort)
+[ -f .claude/skills/verify/SKILL.md ] && docs+=(.claude/skills/verify/SKILL.md)
 
 # All backticked tokens across the doc set, one per line.
 tokens="$(grep -ho '`[^`]*`' "${docs[@]}" 2>/dev/null | tr -d '\`' | sort -u)"
@@ -48,14 +51,19 @@ done <<< "$tokens"
 cmake_text="$(cat CMakeLists.txt ./*/CMakeLists.txt 2>/dev/null)"
 while IFS= read -r tok; do
   [ -z "$tok" ] && continue
-  # Only bare single-word targets, no paths/spaces/flags.
-  case "$tok" in
-    *' '*|*/*|*-*|*=*|*.*) continue ;;
+  # A command line names its binary first: check that word.
+  word="${tok%% *}"
+  case "$word" in
+    ./build/*/*) word="${word#./build/*/}" ;;
   esac
-  case "$tok" in
+  # Only bare single-word targets, no paths/flags.
+  case "$word" in
+    */*|*-*|*=*|*.*) continue ;;
+  esac
+  case "$word" in
     bench_*|*_test|*_demo|sattn_cli|quickstart)
-      if ! printf '%s\n' "$cmake_text" | grep -q "(${tok}[ )]"; then
-        echo "check_docs: docs mention target '$tok' not declared in any CMakeLists.txt" >&2
+      if ! printf '%s\n' "$cmake_text" | grep -q "(${word}[ )]"; then
+        echo "check_docs: docs mention target '$word' (in \`$tok\`) not declared in any CMakeLists.txt" >&2
         fail=1
       fi
       ;;
@@ -82,8 +90,8 @@ for f in "${docs[@]}"; do
 done
 
 # --- 3. required sections ----------------------------------------------------
-if ! grep -q '^## Run reports & regression gating' docs/OBSERVABILITY.md; then
-  echo "check_docs: docs/OBSERVABILITY.md is missing the 'Run reports & regression gating' section" >&2
+if ! grep -q '^## Run reports' docs/OBSERVABILITY.md; then
+  echo "check_docs: docs/OBSERVABILITY.md is missing the 'Run reports' section" >&2
   fail=1
 fi
 
@@ -100,7 +108,7 @@ if ! grep -q '^## Live telemetry & alerts' docs/OBSERVABILITY.md; then
 fi
 
 # The online quality audit (measured CRA, scorecards, the measured_cra_low
-# alert, the bench_diff audit gate) must stay documented.
+# alert, the bench_serving cra_gap check) must stay documented.
 if ! grep -q '^## Online quality audit' docs/OBSERVABILITY.md; then
   echo "check_docs: docs/OBSERVABILITY.md is missing the 'Online quality audit' section" >&2
   fail=1

@@ -180,8 +180,16 @@ class Parser {
   StatusOr<JsonValue> parse_value() {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) {
+          return fail("nesting deeper than " + std::to_string(kJsonMaxDepth) + " levels");
+        }
+        ++depth_;
+        auto v = s_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         auto str = parse_string();
         if (!str.ok()) return str.status();
@@ -306,6 +314,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open arrays/objects around pos_
 };
 
 }  // namespace

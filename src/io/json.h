@@ -1,5 +1,6 @@
-// Minimal JSON document model: parse + serialize for the run-report and
-// bench-diff tooling (io/run_report.h, tools/bench_diff). Deliberately
+// Minimal JSON document model: serialize for the run reports
+// (io/run_report.h), parse for the engine_top NDJSON reader
+// (tools/engine_top.cpp) and the tests. Deliberately
 // small — no SAX interface, no streaming, objects keep insertion order so
 // serialization is deterministic and golden-file-testable.
 //
@@ -42,13 +43,10 @@ class JsonValue {
     return v;
   }
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
-  bool is_string() const { return kind_ == Kind::kString; }
   bool is_array() const { return kind_ == Kind::kArray; }
-  bool is_object() const { return kind_ == Kind::kObject; }
 
   bool as_bool(bool fallback = false) const { return is_bool() ? bool_ : fallback; }
   double as_number(double fallback = 0.0) const { return is_number() ? num_ : fallback; }
@@ -64,7 +62,6 @@ class JsonValue {
   JsonValue& set(const std::string& key, JsonValue v);
   const JsonValue& get(const std::string& key) const;
   bool has(const std::string& key) const;
-  const std::vector<std::pair<std::string, JsonValue>>& members() const { return members_; }
 
   // Serialization. `indent` < 0 gives compact single-line output.
   std::string to_string(int indent = 2) const;
@@ -83,7 +80,10 @@ class JsonValue {
 // Strict-enough parser for the documents this repo writes: objects, arrays,
 // strings with \" \\ \/ \b \f \n \r \t and \uXXXX (BMP only) escapes,
 // numbers, true/false/null. Trailing garbage after the top-level value is
-// an error.
+// an error, and so is nesting arrays/objects deeper than kJsonMaxDepth (the
+// parser recurses once per level; the cap keeps hostile input off the
+// stack). Every error is kInvalidArgument.
+inline constexpr int kJsonMaxDepth = 64;
 StatusOr<JsonValue> parse_json(const std::string& text);
 
 // JSON string escaping shared with the serializer.

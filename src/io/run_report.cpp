@@ -56,20 +56,6 @@ JsonValue hist_json(const obs::HistogramStats& h) {
   return o;
 }
 
-obs::HistogramStats hist_from_json(const JsonValue& o) {
-  obs::HistogramStats h;
-  h.count = static_cast<std::size_t>(o.get("count").as_number());
-  h.sum = o.get("sum").as_number();
-  h.min = o.get("min").as_number();
-  h.max = o.get("max").as_number();
-  h.p50 = o.get("p50").as_number();
-  h.p90 = o.get("p90").as_number();
-  h.p99 = o.get("p99").as_number();
-  if (o.get("max_exemplar").is_string()) h.max_exemplar = o.get("max_exemplar").as_string();
-  if (o.get("p99_exemplar").is_string()) h.p99_exemplar = o.get("p99_exemplar").as_string();
-  return h;
-}
-
 // Parses "<prefix><layer>H<head>.<metric>" (prefix like "quality.L" or
 // "audit.L"); returns false when the gauge name is not in the per-head
 // convention.
@@ -218,8 +204,7 @@ JsonValue per_request_json(const BenchReport& b) {
 
 // Derived view: simulator-predicted vs engine-measured serving metrics,
 // grouped from the engine.predicted.<metric> / engine.measured.<metric> /
-// engine.err.<metric> gauges that bench_serving --engine publishes (the
-// err gauges also gate via tools/bench_diff, see io/report_diff.h).
+// engine.err.<metric> gauges that bench_serving --engine publishes.
 JsonValue engine_json(const BenchReport& b) {
   std::map<std::string, std::map<std::string, double>> metrics;
   for (const auto& [name, v] : b.gauges) {
@@ -237,10 +222,8 @@ JsonValue engine_json(const BenchReport& b) {
     rec.set("metric", metric);
     for (const auto& [kind, v] : kinds) rec.set(kind, v);
     // Tail-metric labeling: a metric with an err gauge is gated by
-    // tools/bench_diff --engine-error-threshold; one without (the raw
-    // tpot_p99_s, whose ~30µs decode steps are OS-jitter-dominated) is
-    // report-only. The flag makes bench_diff output unambiguous about
-    // which tails can fail a run.
+    // bench_serving --engine's self-check; one without (the raw tpot_p99_s,
+    // whose ~30µs decode steps are OS-jitter-dominated) is report-only.
     rec.set("gated", kinds.count("err") > 0);
     arr.push_back(std::move(rec));
   }
@@ -283,8 +266,8 @@ JsonValue lifecycle_json(const BenchReport& b) {
 
 // Derived view: paged-KV / prefix-cache metrics, grouped from the `kv.*`
 // gauges bench_serving --prefix publishes (hit rates, warm-vs-cold TTFT
-// reduction, page residency ratios). The TTFT-reduction gauge also gates via
-// tools/bench_diff --prefix-ttft-min (io/report_diff.h).
+// reduction, page residency ratios). bench_serving --prefix fails its run
+// when the TTFT reduction falls below its floor.
 JsonValue kv_json(const BenchReport& b) {
   JsonValue o = JsonValue::object();
   const std::string prefix = "kv.";
@@ -389,45 +372,7 @@ JsonValue bench_json(const BenchReport& b) {
   return o;
 }
 
-BenchReport bench_from_json(const JsonValue& o) {
-  BenchReport b;
-  b.name = o.get("name").as_string();
-  const JsonValue& latency = o.get("latency");
-  for (std::size_t i = 0; i < latency.size(); ++i) {
-    const JsonValue& rec = latency.at(i);
-    obs::SpanStat s;
-    s.path = rec.get("path").as_string();
-    s.name = rec.get("name").as_string();
-    s.depth = static_cast<int>(rec.get("depth").as_number());
-    s.count = static_cast<std::size_t>(rec.get("count").as_number());
-    s.total_us = rec.get("total_us").as_number();
-    s.mean_us = rec.get("mean_us").as_number();
-    s.p50_us = rec.get("p50_us").as_number();
-    s.p99_us = rec.get("p99_us").as_number();
-    b.latency.push_back(std::move(s));
-  }
-  for (const auto& [name, v] : o.get("counters").members()) b.counters[name] = v.as_number();
-  for (const auto& [name, v] : o.get("gauges").members()) b.gauges[name] = v.as_number();
-  for (const auto& [name, v] : o.get("histograms").members()) {
-    b.histograms[name] = hist_from_json(v);
-  }
-  for (const auto& [name, arr] : o.get("series").members()) {
-    auto& samples = b.series[name];
-    for (std::size_t i = 0; i < arr.size(); ++i) {
-      samples.emplace_back(arr.at(i).at(0).as_number(), arr.at(i).at(1).as_number());
-    }
-  }
-  return b;
-}
-
 }  // namespace
-
-const BenchReport* RunReport::find_bench(const std::string& name) const {
-  for (const BenchReport& b : benches) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
-}
 
 RunReport collect_run_report(const std::string& bench_name) {
   RunReport report;
@@ -470,7 +415,7 @@ RunReport collect_run_report(const std::string& bench_name) {
 std::string run_report_json(const RunReport& report) {
   JsonValue root = JsonValue::object();
   root.set("schema", kRunReportSchema);
-  root.set("version", report.version);
+  root.set("version", kRunReportVersion);
 
   JsonValue meta = JsonValue::object();
   for (const auto& [k, v] : report.meta) meta.set(k, v);
@@ -487,56 +432,6 @@ std::string run_report_json(const RunReport& report) {
 
 bool write_run_report(const std::string& path, const RunReport& report) {
   return write_file(path, run_report_json(report));
-}
-
-StatusOr<RunReport> parse_run_report(const std::string& json_text) {
-  auto parsed = parse_json(json_text);
-  if (!parsed.ok()) return parsed.status();
-  const JsonValue& root = parsed.value();
-  SATTN_CHECK(root.is_object(), kInvalidArgument, "run report is not a JSON object");
-  SATTN_CHECK(root.get("schema").as_string() == kRunReportSchema, kInvalidArgument,
-              "not a ", kRunReportSchema, " document (schema='",
-              root.get("schema").as_string(), "')");
-  const int version = static_cast<int>(root.get("version").as_number());
-  SATTN_CHECK(version >= 1 && version <= kRunReportVersion, kInvalidArgument,
-              "run report version ", version, " not supported (max ", kRunReportVersion, ")");
-
-  RunReport report;
-  report.version = version;
-  for (const auto& [k, v] : root.get("meta").members()) {
-    if (v.is_string()) report.meta[k] = v.as_string();
-  }
-  const JsonValue& benches = root.get("benches");
-  for (std::size_t i = 0; i < benches.size(); ++i) {
-    report.benches.push_back(bench_from_json(benches.at(i)));
-  }
-  return report;
-}
-
-StatusOr<RunReport> load_run_report(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  SATTN_CHECK(f != nullptr, kUnavailable, "cannot open run report '", path, "'");
-  std::string text;
-  char buf[65536];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse_run_report(text);
-}
-
-StatusOr<RunReport> merge_run_reports(const std::vector<RunReport>& reports) {
-  SATTN_CHECK(!reports.empty(), kInvalidArgument, "nothing to merge");
-  RunReport merged;
-  merged.meta = reports.front().meta;
-  merged.meta["created_by"] = "bench_all";
-  for (const RunReport& r : reports) {
-    for (const BenchReport& b : r.benches) {
-      SATTN_CHECK(merged.find_bench(b.name) == nullptr, kInvalidArgument,
-                  "duplicate bench '", b.name, "' while merging run reports");
-      merged.benches.push_back(b);
-    }
-  }
-  return merged;
 }
 
 }  // namespace sattn

@@ -1,17 +1,16 @@
-// Structured, versioned JSON run reports: the machine-checkable record of a
-// bench run that the per-PR bench trajectory (BENCH_sattn.json) and the
-// regression gate (io/report_diff.h, tools/bench_diff) are built on.
+// Structured, versioned JSON run reports: the machine-readable record of a
+// bench run, written by every bench's --report-out (bench/bench_common.h).
+// This is the write side only; the repo's perf gate is sabench +
+// BENCHMARK.json, and quality floors live in ctest (docs/OBSERVABILITY.md,
+// "Run reports").
 //
-// Schema (version 2; pinned by tests/golden/run_report_v2.json — version 1
-// documents, pinned by tests/golden/run_report_v1.json, still parse):
+// Schema (version 2; pinned byte-for-byte by tests/golden/run_report_v2.json):
 //
 //   {
 //     "schema": "sattn.run_report",
 //     "version": 2,
 //     "meta": { "created_by", "git_rev", "build_type", "compiler",
-//               "cxx_flags", "threads", "benches": [...],
-//               // v2, bench_all only, comma-separated (absent when clean):
-//               "failed_benches": "bench_a,bench_b" },
+//               "cxx_flags", "threads", "simd", "hostname", "benches": [...] },
 //     "benches": [
 //       {
 //         "name": "bench_serving",
@@ -50,10 +49,7 @@
 // MetricsRegistry (obs/metrics.h). The derived sections are views over the
 // raw maps under the naming conventions of docs/OBSERVABILITY.md:
 // `quality.L<l>H<h>.*` gauges, `breakdown.S<len>.*` gauges, `sched.*`
-// counters/metrics, and `request.<id>.*` gauges. Parsing keeps only the
-// raw maps; writing re-derives the views, so write -> parse -> write is
-// byte-identical (for v1 documents too: the v2 additions are emitted only
-// when their source metrics exist, which v1 documents never carry).
+// counters/metrics, and `request.<id>.*` gauges.
 #pragma once
 
 #include <map>
@@ -61,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/status.h"
 #include "obs/metrics.h"
 #include "obs/summary.h"
 
@@ -81,13 +76,10 @@ struct BenchReport {
 };
 
 struct RunReport {
-  int version = kRunReportVersion;
   // Environment metadata, stamped at collection time (git rev and build
   // flags are baked in at configure time — see src/CMakeLists.txt).
   std::map<std::string, std::string> meta;
   std::vector<BenchReport> benches;
-
-  const BenchReport* find_bench(const std::string& name) const;
 };
 
 // Snapshots the global obs::Collector + MetricsRegistry into a single-bench
@@ -97,15 +89,5 @@ RunReport collect_run_report(const std::string& bench_name);
 // Serialization.
 std::string run_report_json(const RunReport& report);
 bool write_run_report(const std::string& path, const RunReport& report);
-
-// Parsing. Rejects documents whose "schema" is not sattn.run_report or
-// whose "version" is newer than this library understands.
-StatusOr<RunReport> parse_run_report(const std::string& json_text);
-StatusOr<RunReport> load_run_report(const std::string& path);
-
-// Merges per-bench reports into one: bench entries concatenate in argument
-// order, meta comes from the first report with `benches` re-listed. Bench
-// names must be unique across inputs (kInvalidArgument otherwise).
-StatusOr<RunReport> merge_run_reports(const std::vector<RunReport>& reports);
 
 }  // namespace sattn

@@ -124,7 +124,6 @@ void publish_accounting() {
     reg.gauge(prefix + "flops").set(usage.flops);
     reg.gauge(prefix + "bytes").set(usage.bytes);
     reg.gauge(prefix + "calls").set(usage.calls);
-    reg.gauge(prefix + "intensity").set(usage.intensity());
   }
   reg.gauge("acct.total.flops").set(grand.flops);
   reg.gauge("acct.total.bytes").set(grand.bytes);

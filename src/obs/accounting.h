@@ -55,10 +55,6 @@ struct ResourceUsage {
   double bytes = 0.0;
   double calls = 0.0;
 
-  // Measured arithmetic intensity (FLOPs per logical byte); 0 when no bytes
-  // were accounted.
-  double intensity() const { return bytes > 0.0 ? flops / bytes : 0.0; }
-
   ResourceUsage& operator+=(const ResourceUsage& o) {
     flops += o.flops;
     bytes += o.bytes;
@@ -190,7 +186,7 @@ void charge_attention_kernel(const char* kernel, long long sq, long long sk, lon
 void charge_stage(const char* stage, double flops, double bytes);
 
 // Publishes accountant totals as metrics for the run report: gauges
-// `acct.<kernel>.flops/.bytes/.calls/.intensity` per kernel plus
+// `acct.<kernel>.flops/.bytes/.calls` per kernel plus
 // `acct.total.flops/.bytes`. Benches call this once before collecting the
 // report. No-op when collection is disabled or nothing was accounted.
 void publish_accounting();

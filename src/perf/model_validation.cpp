@@ -77,8 +77,8 @@ void publish_model_error() {
     reg.gauge(prefix + "flops_rel").set(e.flops_rel);
     reg.gauge(prefix + "bytes_rel").set(e.bytes_rel);
   }
-  // Always present so the regression gate has something to check even when
-  // a bench ran no dense kernel.
+  // Always present, so every report has a value to read even when a bench
+  // ran no dense kernel.
   reg.gauge("perf.model_error.max_rel").set(report.max_rel);
 }
 

@@ -2,10 +2,10 @@
 // accountant: for every dense-kernel shape a bench actually ran, re-derive
 // the cost model's FLOP/byte prediction and compare it with what the kernel
 // accounted (obs/accounting.h), publishing the relative error as
-// `perf.model_error.*` gauges. tools/bench_diff gates on those gauges, so
-// a kernel drifting away from the model the Table 4 / Fig 5 reproduction is
-// built on fails the regression gate instead of silently invalidating the
-// headline numbers.
+// `perf.model_error.*` gauges. tests/accounting_test.cpp holds
+// `perf.model_error.max_rel` under 0.05, so a kernel drifting away from the
+// model the Table 4 / Fig 5 reproduction is built on fails a test instead
+// of silently invalidating the headline numbers.
 //
 // Only the dense kernels (`full`, `flash`) are validated: their analytic
 // work is a pure function of shape (the continuum causal count sq*(sk-sq) +
@@ -55,7 +55,7 @@ ModelErrorReport validate_cost_model();
 // Runs validate_cost_model() and publishes the result as gauges:
 // `perf.model_error.<kernel>.flops_rel` / `.bytes_rel` per validated
 // kernel, and `perf.model_error.max_rel` ALWAYS (0 when nothing dense ran),
-// so every bench report carries the gauge the regression gate checks.
+// so every bench report carries it.
 // No-op when collection is disabled.
 void publish_model_error();
 

@@ -27,27 +27,32 @@ SamplePlan plan_sample_attention(const AttentionInput& in, const SampleAttention
   FilterResult filtered = filter_kv_indices(stage1.column_weight, fcfg);
 
   // Merge: I_KV stripes ∪ tuned local window (Figure 3, "M_Merged").
-  SATTN_SPAN("sattn/merge");
   StructuredMask mask(sq, sk);
-  mask.set_window(window);
-  mask.set_stripe_columns(filtered.kv_indices);
+  {
+    SATTN_SPAN("sattn/merge");
+    mask.set_window(window);
+    mask.set_stripe_columns(filtered.kv_indices);
 
-  // Optional diagonal extension: distance buckets past the window with
-  // outsized mass become diagonal bands.
-  if (cfg.detect_diagonals && stage1.total_mass > 0.0) {
-    const Index bw = stage1.distance_bucket_width;
-    for (std::size_t b = 0; b < stage1.distance_hist.size(); ++b) {
-      const Index bucket_lo = static_cast<Index>(b) * bw;
-      if (bucket_lo + bw <= window) continue;  // inside the window anyway
-      if (stage1.distance_hist[b] / stage1.total_mass >= cfg.diag_min_mass) {
-        mask.add_diagonal_band({bucket_lo, bw});
+    // Optional diagonal extension: distance buckets past the window with
+    // outsized mass become diagonal bands.
+    if (cfg.detect_diagonals && stage1.total_mass > 0.0) {
+      const Index bw = stage1.distance_bucket_width;
+      for (std::size_t b = 0; b < stage1.distance_hist.size(); ++b) {
+        const Index bucket_lo = static_cast<Index>(b) * bw;
+        if (bucket_lo + bw <= window) continue;  // inside the window anyway
+        if (stage1.distance_hist[b] / stage1.total_mass >= cfg.diag_min_mass) {
+          mask.add_diagonal_band({bucket_lo, bw});
+        }
       }
     }
   }
 
   SamplePlan plan{std::move(mask), std::move(filtered), std::move(stage1), 0.0, 0.0};
   plan.overhead_fraction = sampling_overhead_fraction(plan.stage1, sq, sk);
-  plan.density = plan.mask.density();
+  {
+    SATTN_SPAN("sattn/density");
+    plan.density = plan.mask.density();
+  }
   // Retained-KV fraction and achieved Stage-2 coverage distributions for
   // the run report (io/run_report.h): the paper's Table 1 / Fig 5 trade-off
   // quantities, recorded per planned head.

@@ -99,7 +99,6 @@ TEST_F(AccountingTest, FullAttentionClosedFormCounts) {
   EXPECT_DOUBLE_EQ(u.bytes,
                    expect_stream_bytes(s, d, evals) + expect_full_score_bytes(s, s, evals));
   EXPECT_DOUBLE_EQ(u.calls, 1.0);
-  EXPECT_GT(u.intensity(), 0.0);
 }
 
 TEST_F(AccountingTest, FlashClosedFormCountsAreTileInvariant) {
@@ -286,14 +285,17 @@ TEST_F(AccountingTest, PublishAccountingEmitsPerKernelGauges) {
   EXPECT_DOUBLE_EQ(gauge_value("acct.flash.flops"), flash.flops);
   EXPECT_DOUBLE_EQ(gauge_value("acct.flash.bytes"), flash.bytes);
   EXPECT_DOUBLE_EQ(gauge_value("acct.flash.calls"), 1.0);
-  EXPECT_DOUBLE_EQ(gauge_value("acct.flash.intensity"), flash.intensity());
   EXPECT_DOUBLE_EQ(gauge_value("acct.total.flops"), flash.flops + full.flops);
   EXPECT_DOUBLE_EQ(gauge_value("acct.total.bytes"), flash.bytes + full.bytes);
 }
 
+// Largest relative error allowed between a dense kernel's accounted
+// FLOPs/bytes and the analytic cost model behind Table 4 / Fig 5-6.
+constexpr double kMaxModelError = 0.05;
+
 TEST_F(AccountingTest, ModelErrorGaugesAlwaysIncludeMaxRel) {
-  // Nothing ran: max_rel is still published (0), so the regression gate has
-  // a gauge to check in every report.
+  // Nothing ran: max_rel is still published (0), so every report carries
+  // the gauge.
   perf::publish_model_error();
   EXPECT_DOUBLE_EQ(gauge_value("perf.model_error.max_rel"), 0.0);
 
@@ -304,11 +306,12 @@ TEST_F(AccountingTest, ModelErrorGaugesAlwaysIncludeMaxRel) {
   perf::publish_model_error();
   // Small shapes carry the largest discretization error (~1/s), but the
   // model must still track the accounted counts closely.
+  const double max_rel = gauge_value("perf.model_error.max_rel");
   EXPECT_GT(gauge_value("perf.model_error.flash.flops_rel"), 0.0);
-  EXPECT_LT(gauge_value("perf.model_error.flash.flops_rel"), 0.05);
-  EXPECT_LT(gauge_value("perf.model_error.full.bytes_rel"), 0.05);
-  EXPECT_GE(gauge_value("perf.model_error.max_rel"),
-            gauge_value("perf.model_error.flash.flops_rel"));
+  EXPECT_LT(gauge_value("perf.model_error.flash.flops_rel"), kMaxModelError);
+  EXPECT_LT(gauge_value("perf.model_error.full.bytes_rel"), kMaxModelError);
+  EXPECT_GE(max_rel, gauge_value("perf.model_error.flash.flops_rel"));
+  EXPECT_LT(max_rel, kMaxModelError);
 }
 
 // ---------------------------------------------------------------------------

@@ -137,5 +137,52 @@ TEST(Integration, BothModelPresetsWorkEndToEnd) {
   }
 }
 
+// Largest drop in Stage-2 coverage a change may cause on a pinned row.
+constexpr double kMaxCoverageDrop = 0.005;
+
+TEST(Integration, PlanCoverageStaysAboveFloors) {
+  // The near-lossless contract at the paper artifacts' shapes: the four
+  // Fig 9 heads, plus one row per other planner config an artifact bench
+  // runs, at S <= 2048. Each floor is the coverage measured when the row
+  // was pinned, minus kMaxCoverageDrop.
+  struct Row {
+    const char* artifact;
+    Index layer;
+    Index head;
+    std::uint64_t prompt_seed;
+    Index s;
+    SampleAttentionConfig cfg;
+    double floor;
+  };
+  const Row rows[] = {
+      {"fig9", 0, 8, 130, 1024, {}, 0.984610 - kMaxCoverageDrop},
+      {"fig9", 4, 3, 130, 1024, {}, 0.818181 - kMaxCoverageDrop},
+      {"fig9", 12, 5, 130, 1024, {}, 0.909729 - kMaxCoverageDrop},
+      {"fig9", 20, 11, 130, 1024, {}, 0.991725 - kMaxCoverageDrop},
+      {"fig5/fig6/table3 alpha=0.80", 8, 3, 40, 2048, {.alpha = 0.80},
+       0.932574 - kMaxCoverageDrop},
+      {"table3 alpha=0.90", 8, 3, 40, 2048, {.alpha = 0.90}, 0.932574 - kMaxCoverageDrop},
+      {"table3 alpha=0.98", 8, 3, 40, 2048, {.alpha = 0.98}, 0.964427 - kMaxCoverageDrop},
+      {"table3 r_row=2%", 8, 3, 40, 2048, {.row_ratio = 0.02}, 0.948374 - kMaxCoverageDrop},
+      {"table3 r_row=10%", 8, 3, 40, 2048, {.row_ratio = 0.10}, 0.929627 - kMaxCoverageDrop},
+      {"table3 r_w=4%", 8, 3, 40, 2048, {.window_ratio = 0.04}, 0.920043 - kMaxCoverageDrop},
+      {"table6 random sampling", 13, 0, 80, 2048, {.sampling = SamplingPolicy::kRandom},
+       0.986280 - kMaxCoverageDrop},
+      {"table6 tail-only sampling", 13, 0, 80, 2048, {.sampling = SamplingPolicy::kTailOnly},
+       0.990377 - kMaxCoverageDrop},
+      {"table6 exact filter", 13, 0, 80, 2048, {.filter = FilterMode::kExact},
+       0.932051 - kMaxCoverageDrop},
+      {"appendix diagonals", 8, 3, 120, 1024, {.detect_diagonals = true},
+       0.882951 - kMaxCoverageDrop},
+  };
+  const ModelConfig model = chatglm2_6b();
+  for (const Row& r : rows) {
+    const AttentionInput in =
+        generate_attention(model, plain_prompt(r.prompt_seed, r.s), r.layer, r.head);
+    EXPECT_GE(plan_sample_attention(in, r.cfg).filter.coverage, r.floor)
+        << r.artifact << " L" << r.layer << "H" << r.head << " S=" << r.s;
+  }
+}
+
 }  // namespace
 }  // namespace sattn

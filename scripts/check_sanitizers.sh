@@ -4,12 +4,13 @@
 #   1. ASan+UBSan: builds a side tree with -DSATTN_SANITIZE=address,undefined
 #      and runs the full ctest suite; any report fails the run.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
-#      the concurrency-heavy binaries — obs_test, scheduler_test,
-#      accounting_test, engine_test, chaos_engine_test, telemetry_test,
-#      audit_test, and kv_page_test — since the span collector, metrics
-#      registry, resource accountant, serving-engine intake, telemetry
-#      rings/publisher, and the KV page arena are written from concurrent
-#      threads.
+#      the concurrency-heavy binaries — core_test, sparse_kernel_test,
+#      sampling_test, obs_test, scheduler_test, accounting_test, engine_test,
+#      chaos_engine_test, telemetry_test, audit_test, and kv_page_test —
+#      since the thread pool, the kernels and Stage-1 scoring that run on it,
+#      the span collector, metrics registry, resource accountant,
+#      serving-engine intake, telemetry rings/publisher, and the KV page
+#      arena are written from concurrent threads.
 #
 # Usage: check_sanitizers.sh [repo-root] [build-dir] [tsan-build-dir]
 # Opt-in ctest entry: configure with -DSATTN_SANITIZER_CTEST=ON.
@@ -74,12 +75,20 @@ cmake -B "$build_tsan" -S "$root" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DSATTN_SANITIZE=thread >/dev/null
 cmake --build "$build_tsan" -j "$(nproc)" \
+  --target core_test --target sparse_kernel_test --target sampling_test \
   --target obs_test --target scheduler_test --target accounting_test \
   --target engine_test --target chaos_engine_test --target telemetry_test \
   --target audit_test --target kv_page_test >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
+# Thread pool: work claiming and the completion handshake, hammered by
+# ThreadPool.BackToBackShortLoopsAreRaceFree (src/core/thread_pool.h).
+"$build_tsan/tests/core_test"
+# Sparse kernel tiles and Stage-1 score batches run on the pool; each task
+# writes only its own rows and tallies.
+"$build_tsan/tests/sparse_kernel_test"
+"$build_tsan/tests/sampling_test"
 # The disabled-mode overhead smoke test is a wall-time comparison; it skips
 # itself under sanitizers, but filter it anyway so the TSan log stays about
 # races, not timing.
@@ -109,4 +118,4 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 # hammer (src/runtime/kv_page.h, "Thread safety").
 "$build_tsan/tests/kv_page_test"
 
-echo "sanitizer suite passed: thread (obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test)"
+echo "sanitizer suite passed: thread (core_test, sparse_kernel_test, sampling_test, obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test)"

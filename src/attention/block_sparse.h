@@ -8,8 +8,8 @@
 // only active tiles with the same online-softmax update as the dense flash
 // kernel. Rounding up preserves (is a superset of) the mask's coverage, so
 // CRA can only improve; the cost is the rounding overhead measured by
-// `rounding_overhead()` — an explicit ablation between the row-run kernel
-// (sparse_flash_attention) and hardware-shaped block execution.
+// `rounding_overhead()` — an explicit ablation between the cell-exact q-block
+// kernel (sparse_flash_attention) and hardware-shaped block execution.
 #pragma once
 
 #include <vector>

@@ -56,15 +56,8 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
       }
     }
     for (Index r = 0; r < t_rows; ++r) {
-      float* orow = out + static_cast<std::size_t>(t_lo + r) * static_cast<std::size_t>(out_stride);
-      const double denom = l[static_cast<std::size_t>(r)];
-      if (denom <= 0.0) {
-        std::fill(orow, orow + d, 0.0f);
-        continue;
-      }
-      const auto inv = static_cast<float>(1.0 / denom);
-      const auto arow = acc.row(r);
-      for (Index t = 0; t < d; ++t) orow[t] = arow[static_cast<std::size_t>(t)] * inv;
+      mk::finalize_row(acc.row(r).data(), l[static_cast<std::size_t>(r)], d,
+                       out + static_cast<std::size_t>(t_lo + r) * static_cast<std::size_t>(out_stride));
     }
   }
   return evals;

@@ -8,7 +8,7 @@
 // register-blocked multi-row tile absorb — lives in attention/microkernel.h
 // (re-exported here) on top of the runtime-dispatched SIMD primitives of
 // core/simd.h. The same machinery is reused by the sparse kernel in
-// sparse_flash_attention.h, which simply visits fewer KV tiles.
+// sparse_flash_attention.h, which visits only each query block's kept keys.
 #pragma once
 
 #include <limits>

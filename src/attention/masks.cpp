@@ -6,20 +6,35 @@
 namespace sattn {
 namespace {
 
-// Sorts runs by lo and merges overlapping/adjacent ones.
-std::vector<ColumnRun> normalize_runs(std::vector<ColumnRun> runs) {
-  std::erase_if(runs, [](const ColumnRun& r) { return r.hi <= r.lo; });
+// Sorts runs by lo and merges overlapping/adjacent ones, in place.
+void normalize_runs(std::vector<ColumnRun>& runs) {
   std::sort(runs.begin(), runs.end(),
             [](const ColumnRun& a, const ColumnRun& b) { return a.lo < b.lo; });
-  std::vector<ColumnRun> out;
+  std::size_t n = 0;
   for (const ColumnRun& r : runs) {
-    if (!out.empty() && r.lo <= out.back().hi) {
-      out.back().hi = std::max(out.back().hi, r.hi);
+    if (r.hi <= r.lo) continue;
+    if (n > 0 && r.lo <= runs[n - 1].hi) {
+      runs[n - 1].hi = std::max(runs[n - 1].hi, r.hi);
     } else {
-      out.push_back(r);
+      runs[n++] = r;
     }
   }
-  return out;
+  runs.resize(n);
+}
+
+// Unions x into a sorted, disjoint, coalesced run list, keeping it so: the
+// runs x overlaps or touches collapse into one.
+void splice_run(std::vector<ColumnRun>& runs, ColumnRun x) {
+  const auto a = std::lower_bound(runs.begin(), runs.end(), x.lo,
+                                  [](const ColumnRun& r, Index v) { return r.hi < v; });
+  const auto b = std::upper_bound(a, runs.end(), x.hi,
+                                  [](Index v, const ColumnRun& r) { return v < r.lo; });
+  if (a == b) {
+    runs.insert(a, x);
+    return;
+  }
+  *a = {std::min(x.lo, a->lo), std::max(x.hi, (b - 1)->hi)};
+  runs.erase(a + 1, b);
 }
 
 bool runs_contain(const std::vector<ColumnRun>& runs, Index j) {
@@ -74,19 +89,58 @@ void StructuredMask::add_diagonal_band(DiagonalBand band) {
   bands_ = std::move(merged);
 }
 
+template <class F>
+void StructuredMask::for_each_band_run(Index lim, F&& f) const {
+  if (window_ > 0) f(ColumnRun{std::max<Index>(0, lim - window_ + 1), lim + 1});
+  for (const DiagonalBand& b : bands_) {
+    const Index hi = std::min(lim + 1, lim - b.offset + 1);
+    const Index lo = std::max<Index>(0, lim - b.offset - b.width + 1);
+    if (hi > lo) f(ColumnRun{lo, hi});
+  }
+}
+
+template <class F>
+void StructuredMask::for_each_block_run(Index i, Index lim, F&& f) const {
+  for (const Block& b : blocks_) {
+    if (i < b.q_lo || i >= b.q_hi) continue;
+    const Index hi = std::min(b.k_hi, lim + 1);
+    if (hi > b.k_lo) f(ColumnRun{b.k_lo, hi});
+  }
+}
+
 std::vector<ColumnRun> StructuredMask::band_runs_for_row(Index i) const {
   const Index lim = causal_limit(i, sq_, sk_);
   std::vector<ColumnRun> runs;
   if (lim < 0) return runs;
-  if (window_ > 0) {
-    runs.push_back({std::max<Index>(0, lim - window_ + 1), lim + 1});
-  }
-  for (const DiagonalBand& b : bands_) {
-    const Index hi = std::min(lim + 1, lim - b.offset + 1);
-    const Index lo = std::max<Index>(0, lim - b.offset - b.width + 1);
-    if (hi > lo) runs.push_back({lo, hi});
-  }
-  return normalize_runs(std::move(runs));
+  for_each_band_run(lim, [&](ColumnRun r) { runs.push_back(r); });
+  normalize_runs(runs);
+  return runs;
+}
+
+std::vector<ColumnRun> StructuredMask::block_runs_for_row(Index i) const {
+  const Index lim = causal_limit(i, sq_, sk_);
+  std::vector<ColumnRun> runs;
+  if (lim < 0) return runs;
+  for_each_block_run(i, lim, [&](ColumnRun r) { runs.push_back(r); });
+  normalize_runs(runs);
+  return runs;
+}
+
+Index StructuredMask::row_runs(Index i, std::vector<ColumnRun>& out) const {
+  out.clear();
+  const Index lim = causal_limit(i, sq_, sk_);
+  if (lim < 0) return 0;
+  // The stripe runs up to lim (already sorted and coalesced), then each
+  // band and block run spliced in.
+  const auto end = std::upper_bound(stripe_runs_.begin(), stripe_runs_.end(), lim,
+                                    [](Index v, const ColumnRun& r) { return v < r.lo; });
+  out.assign(stripe_runs_.begin(), end);
+  if (!out.empty()) out.back().hi = std::min(out.back().hi, lim + 1);
+  const auto splice = [&out](ColumnRun x) { splice_run(out, x); };
+  for_each_band_run(lim, splice);
+  for_each_block_run(i, lim, splice);
+  return static_cast<Index>(end - stripe_runs_.begin()) + (window_ > 0 ? 1 : 0) +
+         static_cast<Index>(bands_.size() + blocks_.size());
 }
 
 bool StructuredMask::contains(Index i, Index j) const {
@@ -104,30 +158,26 @@ bool StructuredMask::contains(Index i, Index j) const {
 double StructuredMask::density() const {
   const double denom = causal_pairs(sq_, sk_);
   if (denom <= 0.0) return 0.0;
+  // Stripe columns in [lo, hi).
+  const auto stripes_in = [this](Index lo, Index hi) {
+    const auto first = std::lower_bound(stripe_cols_.begin(), stripe_cols_.end(), lo);
+    return static_cast<Index>(std::lower_bound(first, stripe_cols_.end(), hi) - first);
+  };
+  // Per row: the stripe columns up to the causal limit, plus the cells of
+  // the bands-and-blocks union that no stripe already covers. Integer
+  // counts, so the result is exact whatever the overlap.
+  std::vector<ColumnRun> extra;
   double kept = 0.0;
   for (Index i = 0; i < sq_; ++i) {
     const Index lim = causal_limit(i, sq_, sk_);
     if (lim < 0) continue;
-    const std::vector<ColumnRun> bands = band_runs_for_row(i);
-    Index row = 0;
-    for (const ColumnRun& r : bands) row += r.width();
-    // Stripes not already inside a band.
-    for (const ColumnRun& run : stripe_runs_) {
-      const Index hi = std::min(run.hi, lim + 1);
-      for (Index j = run.lo; j < hi; ++j) {
-        if (!runs_contain(bands, j)) ++row;
-      }
-    }
-    // Blocks: cells not covered by bands or stripes.
-    for (const Block& b : blocks_) {
-      if (i < b.q_lo || i >= b.q_hi) continue;
-      const Index hi = std::min(b.k_hi, lim + 1);
-      for (Index j = b.k_lo; j < hi; ++j) {
-        if (runs_contain(bands, j)) continue;
-        if (std::binary_search(stripe_cols_.begin(), stripe_cols_.end(), j)) continue;
-        ++row;
-      }
-    }
+    extra.clear();
+    const auto add = [&extra](ColumnRun r) { extra.push_back(r); };
+    for_each_band_run(lim, add);
+    for_each_block_run(i, lim, add);
+    normalize_runs(extra);
+    Index row = stripes_in(0, lim + 1);
+    for (const ColumnRun& r : extra) row += r.width() - stripes_in(r.lo, r.hi);
     kept += static_cast<double>(row);
   }
   return kept / denom;

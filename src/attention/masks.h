@@ -67,7 +67,9 @@ class StructuredMask {
   // Stripes compressed into maximal contiguous runs (kernel-friendly).
   const std::vector<ColumnRun>& stripe_runs() const { return stripe_runs_; }
 
-  // Extra rectangular blocks (BigBird's random blocks). Clipped to range.
+  // Extra rectangular blocks (BigBird's random blocks). Clipped to range;
+  // blocks may overlap each other and the other components — every query
+  // uses the union (see row_runs).
   void add_block(Block b);
   const std::vector<Block>& blocks() const { return blocks_; }
 
@@ -80,17 +82,36 @@ class StructuredMask {
   // row i, clipped to [0, lim], sorted ascending and disjoint.
   std::vector<ColumnRun> band_runs_for_row(Index i) const;
 
+  // Key intervals covered by the blocks that contain query row i, clipped
+  // to [0, lim], sorted ascending and disjoint.
+  std::vector<ColumnRun> block_runs_for_row(Index i) const;
+
+  // Every key run query row i keeps — bands ∪ stripes ∪ blocks, clipped to
+  // [0, lim], sorted ascending and disjoint — written into `out` (its
+  // capacity is reused). Returns the number of mask descriptors read to
+  // build them (stripe runs up to lim, window, bands, blocks), which the
+  // sparse kernel charges as metadata traffic.
+  Index row_runs(Index i, std::vector<ColumnRun>& out) const;
+
   // Membership test, including the causal constraint.
   bool contains(Index i, Index j) const;
 
   // Fraction of causal (i, j) pairs covered by the mask, computed exactly
-  // from the structure in O(stripes + blocks) per row.
+  // from the structure in O((bands + blocks) * log(stripes)) per row.
   double density() const;
 
   // Dense 0/1 materialization for tests and visualization (quadratic!).
   Matrix to_dense() const;
 
  private:
+  // Call f(ColumnRun) for each non-empty run, clipped to [0, lim], of the
+  // window and bands, or of the blocks containing row i (unsorted, possibly
+  // overlapping).
+  template <class F>
+  void for_each_band_run(Index lim, F&& f) const;
+  template <class F>
+  void for_each_block_run(Index i, Index lim, F&& f) const;
+
   Index sq_ = 0;
   Index sk_ = 0;
   Index window_ = 0;

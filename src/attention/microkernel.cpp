@@ -10,7 +10,7 @@ namespace {
 
 // Single-row run absorb over raw state: two passes (score + max, then
 // weight + accumulate) with one rescale for the whole run. The tiled and
-// row-granular kernels both bottom out here for ragged work.
+// sparse kernels both bottom out here for ragged work.
 void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, float* acc,
                     Index d, const mk::KvView& kv, float scale, Index lo, Index hi,
                     std::vector<float>& logits) {
@@ -63,86 +63,105 @@ void OnlineSoftmaxRow::absorb(float logit, std::span<const float> v_row) {
 
 void OnlineSoftmaxRow::finalize(std::span<float> out_row) const {
   assert(out_row.size() == acc.size());
-  if (l <= 0.0) {
-    std::fill(out_row.begin(), out_row.end(), 0.0f);
-    return;
-  }
-  const auto inv = static_cast<float>(1.0 / l);
-  for (std::size_t t = 0; t < acc.size(); ++t) out_row[t] = acc[t] * inv;
-}
-
-void absorb_key_run(OnlineSoftmaxRow& st, const mk::KvView& kv, std::span<const float> qi,
-                    float scale, Index lo, Index hi, std::vector<float>& logits) {
-  absorb_run_row(simd::ops(), qi.data(), st.m, st.l, st.acc.data(),
-                 static_cast<Index>(st.acc.size()), kv, scale, lo, hi, logits);
+  mk::finalize_row(acc.data(), l, static_cast<Index>(acc.size()), out_row.data());
 }
 
 namespace mk {
 
-void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
-                     const Index* hi, std::vector<float>& logits) {
+void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
+                     std::span<const ColumnRun> runs, std::vector<float>& logits) {
   assert(b.rows >= 1 && b.rows <= kQRows);
   const simd::Ops& ops = simd::ops();
   const Index rows = b.rows, d = b.d;
+  Index n = 0;
+  for (const ColumnRun& run : runs) n += run.width();
+  if (n <= 0) return;
+  const auto stride = static_cast<std::size_t>(n);
+  if (logits.size() < stride * static_cast<std::size_t>(rows)) {
+    logits.resize(stride * static_cast<std::size_t>(rows));
+  }
 
-  Index hi_min = hi[0];
-  for (Index r = 1; r < rows; ++r) hi_min = std::min(hi_min, hi[r]);
-
-  // Shared prefix [lo, hi_min): every row sees every key, so K/V rows are
-  // loaded once per block via dotn/axpyn.
-  const Index shared = std::max<Index>(0, hi_min - lo);
-  if (shared > 0) {
-    const auto need = static_cast<std::size_t>(shared * rows);
-    if (logits.size() < need) logits.resize(need);
-    float run_max[kQRows];
-    for (Index r = 0; r < rows; ++r) run_max[r] = -std::numeric_limits<float>::infinity();
-    float s[kQRows];
-    for (Index j = lo; j < hi_min;) {
-      const Index re = kv.run_end(j, hi_min);
+  // Pass 1: score every key against all rows (K row loaded once per block).
+  float run_max[kQRows];
+  for (Index r = 0; r < rows; ++r) run_max[r] = -std::numeric_limits<float>::infinity();
+  float s[kQRows];
+  std::size_t col = 0;
+  for (const ColumnRun& run : runs) {
+    for (Index j = run.lo; j < run.hi;) {
+      const Index re = kv.run_end(j, run.hi);
       const float* krow = kv.k_row(j);
-      for (; j < re; ++j, krow += d) {
+      for (; j < re; ++j, krow += d, ++col) {
         ops.dotn(b.q, rows, krow, d, s);
-        const auto col = static_cast<std::size_t>(j - lo);
         for (Index r = 0; r < rows; ++r) {
           const float v = scale * s[r];
-          logits[static_cast<std::size_t>(r) * static_cast<std::size_t>(shared) + col] = v;
+          logits[static_cast<std::size_t>(r) * stride + col] = v;
           run_max[r] = std::max(run_max[r], v);
         }
       }
     }
-    for (Index r = 0; r < rows; ++r) {
-      if (run_max[r] > *b.m[r]) {
-        const float rescale = std::exp(*b.m[r] - run_max[r]);
-        ops.scale_inplace(b.acc[r], d, rescale);
-        *b.l[r] *= rescale;
-        *b.m[r] = run_max[r];
-      }
+  }
+  // One rescale per row for the whole run set.
+  for (Index r = 0; r < rows; ++r) {
+    if (run_max[r] > *b.m[r]) {
+      const float rescale = std::exp(*b.m[r] - run_max[r]);
+      ops.scale_inplace(b.acc[r], d, rescale);
+      *b.l[r] *= rescale;
+      *b.m[r] = run_max[r];
     }
-    float w[kQRows];
-    for (Index j = lo; j < hi_min;) {
-      const Index re = kv.run_end(j, hi_min);
+  }
+  // Pass 2: weight and accumulate every V row into all rows (one axpyn).
+  float w[kQRows];
+  col = 0;
+  for (const ColumnRun& run : runs) {
+    for (Index j = run.lo; j < run.hi;) {
+      const Index re = kv.run_end(j, run.hi);
       const float* vrow = kv.v_row(j);
-      for (; j < re; ++j, vrow += d) {
-        const auto col = static_cast<std::size_t>(j - lo);
+      for (; j < re; ++j, vrow += d, ++col) {
         for (Index r = 0; r < rows; ++r) {
-          w[r] = std::exp(
-              logits[static_cast<std::size_t>(r) * static_cast<std::size_t>(shared) + col] -
-              *b.m[r]);
+          w[r] = std::exp(logits[static_cast<std::size_t>(r) * stride + col] - *b.m[r]);
           *b.l[r] += w[r];
         }
         ops.axpyn(w, rows, vrow, b.acc, d);
       }
     }
   }
+}
+
+void finalize_row(const float* acc, double l, Index d, float* out) {
+  if (l <= 0.0) {
+    std::fill(out, out + d, 0.0f);
+    return;
+  }
+  const auto inv = static_cast<float>(1.0 / l);
+  for (Index t = 0; t < d; ++t) out[t] = acc[t] * inv;
+}
+
+void absorb_key_run(const QBlock& b, Index r, const KvView& kv, float scale, Index lo, Index hi,
+                    std::vector<float>& logits) {
+  assert(r >= 0 && r < b.rows);
+  absorb_run_row(simd::ops(), b.q[r], *b.m[r], *b.l[r], b.acc[r], b.d, kv, scale, lo, hi, logits);
+}
+
+void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
+                     const Index* hi, std::vector<float>& logits) {
+  assert(b.rows >= 1 && b.rows <= kQRows);
+  const Index rows = b.rows;
+
+  Index hi_min = hi[0];
+  for (Index r = 1; r < rows; ++r) hi_min = std::min(hi_min, hi[r]);
+
+  // Shared prefix [lo, hi_min): every row sees every key, so K/V rows are
+  // loaded once per block via dotn/axpyn.
+  if (hi_min > lo) {
+    const ColumnRun shared{lo, hi_min};
+    absorb_key_runs(b, kv, scale, {&shared, 1}, logits);
+  }
 
   // Ragged tails: rows whose causal limit extends past the shared prefix
   // finish through the single-row path (one extra rescale per tail run).
   const Index tail_lo = std::max(lo, hi_min);
   for (Index r = 0; r < rows; ++r) {
-    if (hi[r] > tail_lo) {
-      absorb_run_row(ops, b.q[r], *b.m[r], *b.l[r], b.acc[r], d, kv, scale, tail_lo, hi[r],
-                     logits);
-    }
+    if (hi[r] > tail_lo) absorb_key_run(b, r, kv, scale, tail_lo, hi[r], logits);
   }
 }
 

@@ -1,9 +1,10 @@
 // Register-blocked attention micro-kernels over the SIMD primitive layer.
 //
-// The tiled kernels (flash_attention, block_sparse) and the row-granular
-// sparse kernels all reduce to the same two inner steps: score a run of
-// keys against one or more query rows, then fold the run into each row's
-// online-softmax state with a single rescale (Dao et al., 2022, Alg. 1).
+// The tiled kernels (flash_attention, block_sparse) and the q-block sparse
+// kernel (sparse_flash_attention) all reduce to the same two inner steps:
+// score a set of keys against one or more query rows, then fold the set
+// into each row's online-softmax state with a single rescale (Dao et al.,
+// 2022, Alg. 1).
 // This header owns that machinery:
 //
 //   * OnlineSoftmaxRow — the single-row accumulator (moved here from
@@ -14,15 +15,17 @@
 //     so the same tile sweep serves a request's prefill matrices, a KV
 //     cache's contiguous storage, or one sequence of a ragged batch
 //     (src/runtime/batch.h) without materializing per-call tensors.
-//   * absorb_key_run — single-row run absorb, the workhorse of the
-//     row-granular sparse kernels.
-//   * mk::QBlock / mk::absorb_key_tile — the register-blocked core: up to
-//     mk::kQRows query rows advance through one K/V stream together, so
+//   * mk::QBlock / mk::absorb_key_runs — the register-blocked core: up to
+//     mk::kQRows query rows advance through a set of key runs together, so
 //     each K row is scored with one simd::dotn (K lanes loaded once for
-//     all rows) and each V row accumulated with one simd::axpyn. Rows may
-//     have ragged causal limits; the shared prefix is blocked and the
-//     tails fall back to the single-row path, so masked (never-visited)
-//     K/V entries are never read.
+//     all rows) and each V row accumulated with one simd::axpyn, with one
+//     rescale per row for the whole set.
+//   * mk::absorb_key_run — single-row run absorb into one row of a block,
+//     for the keys only that row keeps (ragged causal tails, mask edges).
+//   * mk::absorb_key_tile — one dense key tile for rows with ragged causal
+//     limits: the shared prefix goes through absorb_key_runs and the tails
+//     fall back to the single-row path, so masked (never-visited) K/V
+//     entries are never read.
 //   * mk::logits_rows — the blocked score path used by for_each_score_row
 //     (Stage-1 sampling): up to kQRows sampled rows share one pass over K.
 //
@@ -35,6 +38,7 @@
 #include <span>
 #include <vector>
 
+#include "attention/masks.h"
 #include "core/simd.h"
 #include "core/tensor.h"
 
@@ -113,13 +117,6 @@ struct KvView {
 
 }  // namespace mk
 
-// Absorbs the key run [lo, hi) of `kv` into a row's online-softmax state
-// with a single rescale for the whole run (tile-level update). `scale` is
-// 1/sqrt(d); `logits` is caller-owned scratch. Shared by the row-run and
-// block-sparse kernels.
-void absorb_key_run(OnlineSoftmaxRow& st, const mk::KvView& kv, std::span<const float> qi,
-                    float scale, Index lo, Index hi, std::vector<float>& logits);
-
 namespace mk {
 
 // Query rows processed per register block. Matches simd::kMaxRows: the
@@ -139,6 +136,26 @@ struct QBlock {
   double* l[kQRows] = {};       // running normalizer per row
   float* acc[kQRows] = {};      // unnormalized accumulator rows, length d
 };
+
+// Absorbs the union of `runs` (sorted, disjoint) into every row of the
+// block with one rescale per row for the whole set: pass 1 scores each K
+// row against all rows with one dotn, pass 2 folds each V row into all
+// rows with one axpyn. The arithmetic depends only on the key sequence,
+// not on how the view pages it. Callers bound the set (flash: one key
+// tile; the sparse kernel: a chunk of kept keys), which bounds `logits`
+// (caller-owned scratch, grown to rows x keys).
+void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
+                     std::span<const ColumnRun> runs, std::vector<float>& logits);
+
+// Writes the normalized row acc / l (d floats) to out, or zeros when nothing
+// was absorbed (l <= 0). Every kernel finalizes its online-softmax rows here.
+void finalize_row(const float* acc, double l, Index d, float* out);
+
+// Absorbs the key run [lo, hi) into row r of the block only, with a single
+// rescale for the whole run (two passes: score + max, then weight +
+// accumulate). `scale` is 1/sqrt(d); `logits` is caller-owned scratch.
+void absorb_key_run(const QBlock& b, Index r, const KvView& kv, float scale, Index lo, Index hi,
+                    std::vector<float>& logits);
 
 // Absorbs keys [lo, hi[r]) into each row r of the block. The shared prefix
 // [lo, min_r hi[r]) is processed register-blocked — each K/V row is loaded

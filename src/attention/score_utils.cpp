@@ -7,6 +7,7 @@
 #include "attention/full_attention.h"
 #include "attention/microkernel.h"
 #include "core/numerics.h"
+#include "core/thread_pool.h"
 
 namespace sattn {
 
@@ -14,25 +15,38 @@ void for_each_score_row(const AttentionInput& in, std::span<const Index> rows,
                         const std::function<void(Index, std::span<const float>)>& visit) {
   const Index sq = in.sq(), sk = in.sk();
   // Blocked score path: chunks of up to mk::kQRows sampled rows share one
-  // pass over K (mk::logits_rows), then each row is softmaxed and visited
-  // in the caller's original order.
-  std::vector<float> buf(static_cast<std::size_t>(mk::kQRows) * static_cast<std::size_t>(sk));
+  // pass over K (mk::logits_rows). A batch of up to kScoreBatchRows rows is
+  // scored and softmaxed chunk-parallel into scratch, then its rows are
+  // visited serially in the caller's order. Chunk boundaries do not depend
+  // on the batch, so each row's values do not either.
+  static_assert(kScoreBatchRows % mk::kQRows == 0);
   const auto n = static_cast<Index>(rows.size());
-  for (Index c = 0; c < n; c += mk::kQRows) {
-    const Index nr = std::min<Index>(mk::kQRows, n - c);
-    Index q_rows[mk::kQRows];
-    float* out[mk::kQRows];
-    for (Index r = 0; r < nr; ++r) {
-      const Index i = rows[static_cast<std::size_t>(c + r)];
-      assert(i >= 0 && i < sq);
-      q_rows[r] = i;
-      out[r] = buf.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(sk);
-    }
-    mk::logits_rows(in, q_rows, nr, out);
-    for (Index r = 0; r < nr; ++r) {
-      std::span<float> row(out[r], static_cast<std::size_t>(sk));
-      softmax_prefix_inplace(row, causal_limit(q_rows[r], sq, sk) + 1);
-      visit(q_rows[r], row);
+  const Index batch_rows = std::min(n, kScoreBatchRows);
+  std::vector<float> buf(static_cast<std::size_t>(batch_rows) * static_cast<std::size_t>(sk));
+  const auto row_buf = [&](Index r) {
+    return buf.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(sk);
+  };
+  for (Index b0 = 0; b0 < n; b0 += kScoreBatchRows) {
+    const Index b1 = std::min(n, b0 + kScoreBatchRows);
+    parallel_for((b1 - b0 + mk::kQRows - 1) / mk::kQRows, [&](Index c) {
+      const Index c0 = b0 + c * mk::kQRows;
+      const Index nr = std::min<Index>(mk::kQRows, b1 - c0);
+      Index q_rows[mk::kQRows] = {};
+      float* out[mk::kQRows] = {};
+      for (Index r = 0; r < nr; ++r) {
+        q_rows[r] = rows[static_cast<std::size_t>(c0 + r)];
+        assert(q_rows[r] >= 0 && q_rows[r] < sq);
+        out[r] = row_buf(c0 - b0 + r);
+      }
+      mk::logits_rows(in, q_rows, nr, out);
+      for (Index r = 0; r < nr; ++r) {
+        softmax_prefix_inplace(std::span<float>(out[r], static_cast<std::size_t>(sk)),
+                               causal_limit(q_rows[r], sq, sk) + 1);
+      }
+    });
+    for (Index r = b0; r < b1; ++r) {
+      visit(rows[static_cast<std::size_t>(r)],
+            std::span<const float>(row_buf(r - b0), static_cast<std::size_t>(sk)));
     }
   }
 }

@@ -1,9 +1,10 @@
 // Analysis helpers over attention score matrices.
 //
 // These back the paper's empirical-foundation measurements (Section 3.2,
-// Fig 2, Tables 5/6). They are written to stream one score row at a time so
-// sparsity statistics can be computed at sequence lengths where the full
-// [Sq x Sk] matrix would not fit in memory.
+// Fig 2, Tables 5/6) and Stage-1 sampling. Score rows are computed in
+// bounded batches (kScoreBatchRows rows of Sk floats) so sparsity
+// statistics can be computed at sequence lengths where the full [Sq x Sk]
+// matrix would not fit in memory.
 #pragma once
 
 #include <functional>
@@ -13,9 +14,18 @@
 
 namespace sattn {
 
+// Rows for_each_score_row scores per batch: its scratch is this many rows
+// of Sk floats whatever the number of rows requested (at Sk = 128K, 16 MiB).
+// 32 rows are 8 four-row chunks per batch, enough to keep a 3-worker pool
+// busy; at S = 4096, 64-row batches cost ~1 MiB more peak RSS.
+inline constexpr Index kScoreBatchRows = 32;
+
 // Calls visit(i, row) with the causal-softmaxed score row for each query i
-// in `rows` (entries past the causal limit are zero). The row buffer is
-// reused between calls.
+// in `rows` (entries past the causal limit are zero), in the order given
+// and on the calling thread. Rows are scored in chunks of mk::kQRows on the
+// thread pool, a batch of kScoreBatchRows at a time; a row's values depend
+// only on its chunk (rows[4c .. 4c+3]), never on the pool. The row buffers
+// are reused between batches.
 void for_each_score_row(const AttentionInput& in, std::span<const Index> rows,
                         const std::function<void(Index, std::span<const float>)>& visit);
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
+#include <span>
+#include <vector>
 
 #include "attention/microkernel.h"
 #include "core/thread_pool.h"
@@ -13,12 +16,94 @@
 namespace sattn {
 namespace {
 
-bool runs_contain(const std::vector<ColumnRun>& runs, Index j) {
-  for (const ColumnRun& r : runs) {
-    if (j < r.lo) return false;
-    if (j < r.hi) return true;
+// Query rows per parallel task. A tile runs as groups of mk::kQRows rows;
+// the pool's work claiming balances the causal skew across tiles. 32 rows
+// let 8 groups share each key chunk while a tile's scratch (run lists, a
+// 32 x d accumulator) stays small: at S = 4096, 64-row tiles cost ~0.7 MiB
+// more peak RSS for no measurable speed.
+constexpr Index kTileQ = 32;
+// Kept keys per key chunk. Every group of a tile absorbs the chunk's keys
+// before the tile moves on, so the chunk's K/V rows are read from memory
+// once per tile and stay cache-hot for the other groups; each group
+// rescales once per chunk.
+constexpr Index kKeyChunk = 128;
+
+// Appends a ∩ b to out, for sorted, disjoint run lists.
+void intersect_runs(std::span<const ColumnRun> a, std::span<const ColumnRun> b,
+                    std::vector<ColumnRun>& out) {
+  std::size_t x = 0, y = 0;
+  while (x < a.size() && y < b.size()) {
+    const Index lo = std::max(a[x].lo, b[y].lo);
+    const Index hi = std::min(a[x].hi, b[y].hi);
+    if (lo < hi) out.push_back({lo, hi});
+    if (a[x].hi < b[y].hi) {
+      ++x;
+    } else {
+      ++y;
+    }
   }
-  return false;
+}
+
+// Appends a \ b to out, for sorted, disjoint run lists with b ⊆ a.
+void subtract_runs(std::span<const ColumnRun> a, std::span<const ColumnRun> b,
+                   std::vector<ColumnRun>& out) {
+  std::size_t y = 0;
+  for (const ColumnRun& run : a) {
+    Index lo = run.lo;
+    for (; y < b.size() && b[y].lo < run.hi; ++y) {
+      if (b[y].lo > lo) out.push_back({lo, b[y].lo});
+      lo = b[y].hi;
+    }
+    if (lo < run.hi) out.push_back({lo, run.hi});
+  }
+}
+
+// [begin, end) of a run list stored in a flat vector.
+struct RunSlice {
+  std::size_t begin = 0, end = 0;
+  std::span<const ColumnRun> of(const std::vector<ColumnRun>& v) const {
+    return {v.data() + begin, end - begin};
+  }
+};
+
+// One group of up to mk::kQRows rows of a tile.
+struct Group {
+  mk::QBlock b;                 // the rows that keep any key
+  RunSlice common;              // the keys all of them keep
+  RunSlice ragged[mk::kQRows];  // per block row: its other kept keys
+  std::size_t cursor = 0;       // next common run to absorb
+};
+
+// Per-tile scratch and online-softmax state. Run lists live in flat
+// vectors, so a tile allocates a fixed handful of buffers.
+struct TileScratch {
+  std::vector<float> m;
+  std::vector<double> l;
+  Matrix acc;
+  std::vector<Group> groups;
+  std::vector<ColumnRun> rows[mk::kQRows];  // the current group's kept runs
+  std::vector<ColumnRun> common, ragged;    // every group's, flat
+  std::vector<ColumnRun> tmp, next, chunk;
+  std::vector<Index> cuts;  // key-chunk ends
+  std::vector<float> logits;
+};
+
+// Chunk ends: every kKeyChunk keys of `guide`, then sk for the rest.
+void key_chunk_cuts(std::span<const ColumnRun> guide, Index sk, std::vector<Index>& cuts) {
+  cuts.clear();
+  Index kept = 0;
+  for (const ColumnRun& run : guide) {
+    for (Index lo = run.lo; lo < run.hi;) {
+      const Index take = std::min(kKeyChunk - kept, run.hi - lo);
+      lo += take;
+      kept += take;
+      if (kept == kKeyChunk) {
+        cuts.push_back(lo);
+        kept = 0;
+      }
+    }
+  }
+  if (cuts.empty() || cuts.back() < sk) cuts.push_back(sk);
 }
 
 }  // namespace
@@ -34,77 +119,98 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
   SATTN_SPAN("kernel/sparse_flash");
   SATTN_COUNTER_ADD("sattn.mask_stripe_columns", mask.stripe_columns().size());
   out.resize(sq, d);
-  // Measured work: actual absorbed run lengths and block cells, plus the
-  // mask metadata the kernel walks (8 bytes per band run / stripe run /
-  // block descriptor read per row).
+  // Measured work: the kept keys each row absorbs, plus the mask metadata
+  // read to build its runs (8 bytes per stripe run / window / band / block
+  // descriptor, per row). Tallied per tile, one atomic add each.
   std::atomic<double> evals_total{0.0};
   std::atomic<double> meta_reads{0.0};
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-  const auto& stripe_runs = mask.stripe_runs();
-  const auto& blocks = mask.blocks();
-  const auto& stripe_cols = mask.stripe_columns();
 
-  parallel_for(sq, [&](Index i) {
-    const Index lim = causal_limit(i, sq, sk);
-    auto orow = out.row(i);
-    if (lim < 0) {
-      std::fill(orow.begin(), orow.end(), 0.0f);
-      return;
+  const Index n_tiles = (sq + kTileQ - 1) / kTileQ;
+  parallel_for(n_tiles, [&](Index t) {
+    const Index t0 = t * kTileQ;
+    const Index nt = std::min(sq, t0 + kTileQ) - t0;
+    const Index n_groups = (nt + mk::kQRows - 1) / mk::kQRows;
+    TileScratch sc;
+    sc.m.assign(static_cast<std::size_t>(nt), -std::numeric_limits<float>::infinity());
+    sc.l.assign(static_cast<std::size_t>(nt), 0.0);
+    sc.acc.resize(nt, d);
+    sc.groups.resize(static_cast<std::size_t>(n_groups));
+    double tile_evals = 0.0, tile_meta = 0.0;
+
+    // 1. Each row's kept runs, built once. The rows of a group that keep
+    //    any key form its block; the keys all of them keep are its common
+    //    runs, and each row's remaining keys are its ragged runs.
+    for (Index g = 0; g < n_groups; ++g) {
+      Group& grp = sc.groups[static_cast<std::size_t>(g)];
+      mk::QBlock& b = grp.b;
+      b.d = d;
+      const Index r0 = g * mk::kQRows, r1 = std::min(nt, r0 + mk::kQRows);
+      for (Index r = r0; r < r1; ++r) {
+        std::vector<ColumnRun>& runs = sc.rows[b.rows];
+        tile_meta += static_cast<double>(mask.row_runs(t0 + r, runs));
+        if (runs.empty()) continue;
+        for (const ColumnRun& run : runs) tile_evals += static_cast<double>(run.width());
+        const auto rr = static_cast<std::size_t>(r);
+        b.q[b.rows] = q + static_cast<std::size_t>(t0 + r) * static_cast<std::size_t>(d);
+        b.m[b.rows] = &sc.m[rr];
+        b.l[b.rows] = &sc.l[rr];
+        b.acc[b.rows] = sc.acc.row(r).data();
+        ++b.rows;
+      }
+      if (b.rows == 0) continue;
+      sc.tmp = sc.rows[0];
+      for (Index k = 1; k < b.rows; ++k) {
+        sc.next.clear();
+        intersect_runs(sc.tmp, sc.rows[k], sc.next);
+        std::swap(sc.tmp, sc.next);
+      }
+      grp.common.begin = sc.common.size();
+      sc.common.insert(sc.common.end(), sc.tmp.begin(), sc.tmp.end());
+      grp.common.end = sc.common.size();
+      grp.cursor = grp.common.begin;
+      for (Index k = 0; k < b.rows; ++k) {
+        grp.ragged[k].begin = sc.ragged.size();
+        subtract_runs(sc.rows[k], sc.tmp, sc.ragged);
+        grp.ragged[k].end = sc.ragged.size();
+      }
     }
-    OnlineSoftmaxRow st(d);
-    std::vector<float> logits;
-    const std::span<const float> qi{q + static_cast<std::size_t>(i) * static_cast<std::size_t>(d),
-                                    static_cast<std::size_t>(d)};
-    double row_evals = 0.0;
 
-    // 1. Diagonal bands (the local window plus any extra bands), as
-    //    disjoint runs.
-    const std::vector<ColumnRun> bands = mask.band_runs_for_row(i);
-    for (const ColumnRun& run : bands) {
-      absorb_key_run(st, kv, qi, scale, run.lo, run.hi, logits);
-      row_evals += static_cast<double>(std::max<Index>(0, run.hi - run.lo));
-    }
-
-    // 2. Stripe runs, minus the parts already covered by a band.
-    for (const ColumnRun& run : stripe_runs) {
-      Index lo = run.lo;
-      const Index hi = std::min(run.hi, lim + 1);
-      for (const ColumnRun& band : bands) {
-        if (band.hi <= lo) continue;
-        if (band.lo >= hi) break;
-        if (band.lo > lo) {
-          const Index seg_hi = std::min(band.lo, hi);
-          absorb_key_run(st, kv, qi, scale, lo, seg_hi, logits);
-          row_evals += static_cast<double>(std::max<Index>(0, seg_hi - lo));
+    // 2. Common keys, chunk by chunk: every group absorbs its common runs
+    //    inside [k_lo, k_hi) through the register-blocked path while the
+    //    chunk's K/V rows are hot. The last group (largest causal limit)
+    //    guides the chunk ends.
+    key_chunk_cuts(sc.groups.back().common.of(sc.common), sk, sc.cuts);
+    Index k_lo = 0;
+    for (const Index k_hi : sc.cuts) {
+      for (Group& grp : sc.groups) {
+        sc.chunk.clear();
+        for (; grp.cursor < grp.common.end; ++grp.cursor) {
+          const ColumnRun& run = sc.common[grp.cursor];
+          if (run.lo >= k_hi) break;
+          sc.chunk.push_back({std::max(run.lo, k_lo), std::min(run.hi, k_hi)});
+          if (run.hi > k_hi) break;  // the rest of this run is in the next chunk
         }
-        lo = std::max(lo, band.hi);
-        if (lo >= hi) break;
+        if (!sc.chunk.empty()) mk::absorb_key_runs(grp.b, kv, scale, sc.chunk, sc.logits);
       }
-      if (lo < hi) {
-        absorb_key_run(st, kv, qi, scale, lo, hi, logits);
-        row_evals += static_cast<double>(hi - lo);
-      }
+      k_lo = k_hi;
     }
 
-    // 3. Extra blocks (BigBird): cells not already covered.
-    for (const Block& b : blocks) {
-      if (i < b.q_lo || i >= b.q_hi) continue;
-      const Index hi = std::min(b.k_hi, lim + 1);
-      for (Index j = b.k_lo; j < hi; ++j) {
-        if (runs_contain(bands, j)) continue;
-        if (std::binary_search(stripe_cols.begin(), stripe_cols.end(), j)) continue;
-        const std::span<const float> kj{kv.k_row(j), static_cast<std::size_t>(d)};
-        const std::span<const float> vj{kv.v_row(j), static_cast<std::size_t>(d)};
-        const float s = scale * dot(qi, kj);
-        st.absorb(s, vj);
-        row_evals += 1.0;
+    // 3. The few keys only some rows of a group keep (ragged causal and
+    //    band edges), through the single-row path; then normalize.
+    for (const Group& grp : sc.groups) {
+      for (Index k = 0; k < grp.b.rows; ++k) {
+        for (const ColumnRun& run : grp.ragged[k].of(sc.ragged)) {
+          mk::absorb_key_run(grp.b, k, kv, scale, run.lo, run.hi, sc.logits);
+        }
       }
     }
-    st.finalize(orow);
-    evals_total.fetch_add(row_evals, std::memory_order_relaxed);
-    meta_reads.fetch_add(
-        static_cast<double>(bands.size() + stripe_runs.size() + blocks.size()),
-        std::memory_order_relaxed);
+    for (Index r = 0; r < nt; ++r) {
+      mk::finalize_row(sc.acc.row(r).data(), sc.l[static_cast<std::size_t>(r)], d,
+                       out.row(t0 + r).data());
+    }
+    evals_total.fetch_add(tile_evals, std::memory_order_relaxed);
+    meta_reads.fetch_add(tile_meta, std::memory_order_relaxed);
   });
   const double evals = evals_total.load();
   SATTN_HISTOGRAM("kernel.sparse_flash.score_evals", evals);
@@ -114,9 +220,9 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
 }
 
 double sparse_flash_work(const StructuredMask& mask) {
-  // The kernel evaluates exactly the masked-in causal cells (stripe runs are
-  // clipped against the bands and blocks against both), so work equals
-  // density * causal_pairs.
+  // The kernel evaluates exactly the masked-in causal cells (each row's
+  // kept runs are the normalized union of bands, stripes and blocks), so
+  // work equals density * causal_pairs.
   return mask.density() * causal_pairs(mask.sq(), mask.sk());
 }
 

@@ -1,10 +1,15 @@
 // Adaptive structured sparse attention kernel (Section 4.3).
 //
 // This is the CPU analogue of the paper's modified-FlashAttention kernel:
-// exactly the same online-softmax update as flash_attention.cpp, but per
-// query row it visits only the key runs admitted by a StructuredMask —
-// the local window interval plus the run-compressed column stripes (plus any
-// extra blocks, for BigBird). Work and memory traffic are therefore
+// exactly the same online-softmax update as flash_attention.cpp, but each
+// query row visits only the key runs admitted by a StructuredMask — the
+// local window and diagonal bands, the run-compressed column stripes and any
+// extra blocks (BigBird), as one disjoint union (StructuredMask::row_runs).
+// Like the paper's kernel it loads each kept K/V row once per query block:
+// 32-row tiles run in parallel as groups of mk::kQRows rows; the keys every
+// row of a group keeps go through the register-blocked mk::absorb_key_runs,
+// and only the few edge keys that some rows keep (ragged window and causal
+// edges) through the single-row path. Work and memory traffic are therefore
 // proportional to the mask density instead of Sk, which is where the
 // paper's wall-clock speedup comes from.
 #pragma once
@@ -20,8 +25,11 @@
 namespace sattn {
 
 // out is resized to [Sq x d]. The mask's (sq, sk) must match the input.
-// Softmax is computed over exactly the masked-in keys of each row; a row
-// whose mask is empty (cannot happen with window >= 1) would produce zeros.
+// Softmax is computed over exactly the masked-in keys of each row, each
+// kept cell once however the mask's components overlap; a row whose mask is
+// empty (cannot happen with window >= 1) produces zeros. A row's output
+// depends only on the mask and its position in its 4-row group and 32-row
+// tile, never on the thread pool.
 void sparse_flash_attention(const AttentionInput& in, const StructuredMask& mask, Matrix& out);
 
 // View form: q is sq contiguous rows of kv.d floats, keys/values come from

@@ -57,28 +57,34 @@ void ThreadPool::parallel_for(Index n, const std::function<void(Index)>& fn) {
     for (Index i = 0; i < n; ++i) fn(i);
     return;
   }
-  const Index chunks = std::min(n, n_workers);
-  const Index per = (n + chunks - 1) / chunks;
-  std::atomic<Index> remaining{chunks};
+  // Work claiming: each task pulls the next unclaimed index from a shared
+  // counter until the range is exhausted, so a loop whose iterations grow
+  // (causal q-tiles, sampled rows) keeps every worker busy to the end
+  // instead of leaving the last contiguous chunk to one thread.
+  const Index n_tasks = std::min(n, n_workers);
+  std::atomic<Index> next{0};
+  Index remaining = n_tasks;  // guarded by done_mu
   std::mutex done_mu;
   std::condition_variable done_cv;
   {
     std::lock_guard lk(mu_);
-    for (Index c = 0; c < chunks; ++c) {
-      const Index lo = c * per;
-      const Index hi = std::min(n, lo + per);
-      tasks_.emplace([&, lo, hi] {
-        for (Index i = lo; i < hi; ++i) fn(i);
-        if (remaining.fetch_sub(1) == 1) {
-          std::lock_guard dlk(done_mu);
-          done_cv.notify_one();
+    for (Index t = 0; t < n_tasks; ++t) {
+      tasks_.emplace([&] {
+        for (Index i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+             i = next.fetch_add(1, std::memory_order_relaxed)) {
+          fn(i);
         }
+        // Decrement and notify under done_mu: the caller may return (and
+        // destroy done_mu/done_cv) as soon as it sees remaining == 0, so
+        // that must not become visible before the notify is done.
+        std::lock_guard dlk(done_mu);
+        if (--remaining == 0) done_cv.notify_one();
       });
     }
   }
   cv_.notify_all();
   std::unique_lock dlk(done_mu);
-  done_cv.wait(dlk, [&] { return remaining.load() == 0; });
+  done_cv.wait(dlk, [&] { return remaining == 0; });
 }
 
 ThreadPool& ThreadPool::global() {

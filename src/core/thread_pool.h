@@ -29,7 +29,10 @@ class ThreadPool {
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
   // Runs fn(i) for i in [0, n). Blocks until all iterations complete.
-  // Iterations are distributed in contiguous chunks. With an empty pool
+  // min(n, size()) workers each claim the next unclaimed index from a shared
+  // counter until none is left, so iterations of uneven cost balance across
+  // workers; every index runs exactly once, on one thread, in no particular
+  // order (callers write per-index outputs). With an empty pool
   // (size 1 and n small) work runs inline on the calling thread. Re-entrant:
   // a nested call from inside a pool task runs inline rather than blocking
   // on workers that may all be busy in the same situation (the ragged batch

@@ -33,11 +33,10 @@ double row_retained_mass(std::span<const float> p_row, const StructuredMask& mas
       if (!runs_contain(bands, j)) kept += p_row[static_cast<std::size_t>(j)];
     }
   }
-  // Blocks, skipping cells already counted.
-  for (const Block& b : mask.blocks()) {
-    if (i < b.q_lo || i >= b.q_hi) continue;
-    const Index hi = std::min(b.k_hi, lim + 1);
-    for (Index j = b.k_lo; j < hi; ++j) {
+  // Blocks (their union, so overlapping blocks count once), skipping cells
+  // already counted.
+  for (const ColumnRun& run : mask.block_runs_for_row(i)) {
+    for (Index j = run.lo; j < run.hi; ++j) {
       if (runs_contain(bands, j)) continue;
       if (std::binary_search(mask.stripe_columns().begin(), mask.stripe_columns().end(), j)) {
         continue;

@@ -9,7 +9,7 @@ namespace sattn {
 
 namespace {
 
-bool is_pow2(Index v) { return v > 0 && (v & (v - 1)) == 0; }
+[[maybe_unused]] bool is_pow2(Index v) { return v > 0 && (v & (v - 1)) == 0; }
 
 Index log2_of(Index v) {
   Index s = 0;

@@ -56,21 +56,27 @@ SampleStats sample_column_weights(const AttentionInput& in, double row_ratio,
         exclude_window > 0 ? std::max<Index>(0, lim - exclude_window + 1) : lim + 1;
     // One fused pass over the sampled row: column accumulate (outside the
     // excluded window), distance histogram, and window mass together, so
-    // the row is streamed once instead of three times. Accumulation order
-    // per destination matches the old three-pass form (ascending j), so
-    // the sums are bit-identical.
+    // the row is streamed once instead of three times. j ascends through
+    // the row one distance bucket at a time (bucket min(B-1, (lim-j)/w)
+    // ends at j = lim - b*w), so each destination sums in ascending j and
+    // the sums are bit-identical to the three-pass form.
     double row_total = 0.0, row_window = 0.0;
-    for (Index j = 0; j <= lim; ++j) {
-      const float pj = p[static_cast<std::size_t>(j)];
-      row_total += pj;
-      st.distance_hist[static_cast<std::size_t>(
-          std::min<Index>(SampleStats::kDistanceBuckets - 1, (lim - j) / st.distance_bucket_width))] +=
-          pj;
-      if (j < win_lo) {
-        acc[static_cast<std::size_t>(j)] += pj;
-      } else {
-        row_window += pj;
+    for (Index j = 0; j <= lim;) {
+      const Index b =
+          std::min<Index>(SampleStats::kDistanceBuckets - 1, (lim - j) / st.distance_bucket_width);
+      const Index j_end = lim - b * st.distance_bucket_width;  // inclusive
+      double h = st.distance_hist[static_cast<std::size_t>(b)];
+      for (; j <= j_end; ++j) {
+        const float pj = p[static_cast<std::size_t>(j)];
+        row_total += pj;
+        h += pj;
+        if (j < win_lo) {
+          acc[static_cast<std::size_t>(j)] += pj;
+        } else {
+          row_window += pj;
+        }
       }
+      st.distance_hist[static_cast<std::size_t>(b)] = h;
     }
     st.total_mass += row_total;
     st.window_mass += row_window;

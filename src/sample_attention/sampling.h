@@ -6,8 +6,10 @@
 // query rows (sampling ratio r_row = l / Sq) and accumulates them along the
 // column axis. The column sums are the sufficient statistic Stage-2 filters
 // on. The paper fuses the bmm + softmax + reduction into one kernel to avoid
-// materializing the sampled score block; we mirror that by streaming one row
-// at a time (O(Sk) scratch) and counting the work performed.
+// materializing the sampled score block; we mirror that by scoring the
+// sampled rows in bounded batches (for_each_score_row: 4-row chunks in
+// parallel, at most kScoreBatchRows rows of scratch) and reducing them in
+// row order, and we count the work performed.
 //
 // Because the selected I_KV is later *merged with the local-window mask*
 // (Figure 3), the statistic can exclude each sampled row's window region:

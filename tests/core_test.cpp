@@ -5,6 +5,8 @@
 #include <atomic>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "core/rng.h"
 #include "core/tensor.h"
@@ -176,6 +178,49 @@ TEST(ThreadPool, ExplicitPoolRuns) {
   std::atomic<Index> sum{0};
   pool.parallel_for(100, [&](Index i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, EveryIndexRunsExactlyOnceOnOneThread) {
+  // n below, at and above the worker count: each index is claimed once.
+  ThreadPool pool(3);
+  for (const Index n : {Index{1}, Index{2}, Index{3}, Index{1000}}) {
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    pool.parallel_for(n, [&](Index i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(ThreadPool, NestedCallRunsInline) {
+  // A parallel_for issued from inside a pool task runs on that task's
+  // thread instead of waiting on workers that may all be busy.
+  ThreadPool pool(3);
+  std::atomic<int> inner{0}, off_thread{0};
+  pool.parallel_for(6, [&](Index) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(50, [&](Index) {
+      inner.fetch_add(1);
+      if (std::this_thread::get_id() != outer) off_thread.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(inner.load(), 300);
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPool, BackToBackShortLoopsAreRaceFree) {
+  // The caller's completion state (counter, mutex, condition variable)
+  // lives on its stack and dies when parallel_for returns. If the last
+  // worker could signal completion before it is done touching that state,
+  // the next call would reuse the frame under it; ThreadSanitizer reports
+  // that within this many back-to-back calls.
+  ThreadPool pool(3);
+  constexpr long kCalls = 200000;
+  std::atomic<long> total{0};
+  for (long c = 0; c < kCalls; ++c) {
+    pool.parallel_for(3, [&](Index i) { total.fetch_add(i + 1, std::memory_order_relaxed); });
+  }
+  EXPECT_EQ(total.load(), 6 * kCalls);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "attention/masks.h"
+#include "core/rng.h"
+#include "random_mask.h"
 
 namespace sattn {
 namespace {
@@ -78,6 +80,47 @@ TEST(StructuredMask, DensityMatchesDenseCount) {
   EXPECT_NEAR(m.density(), kept / causal_pairs(16, 16), 1e-9);
 }
 
+// Number of causal cells to_dense() marks: the ground truth density() and
+// the sparse kernel's work must reproduce exactly.
+double dense_count(const StructuredMask& m) {
+  const Matrix dense = m.to_dense();
+  double kept = 0.0;
+  for (float v : dense.flat()) kept += v;
+  return kept;
+}
+
+TEST(StructuredMask, OverlappingBlocksCountOnceInDensity) {
+  StructuredMask m(32, 32);
+  m.set_window(2);
+  m.add_block({8, 24, 2, 10});
+  m.add_block({12, 28, 6, 14});  // overlaps the first on columns 6..9
+  EXPECT_EQ(m.density(), dense_count(m) / causal_pairs(32, 32));
+}
+
+TEST(StructuredMask, RowRunsAreTheDenseRowsRunCompressed) {
+  Rng rng(11);
+  for (int t = 0; t < 20; ++t) {
+    const Index sk = 1 + rng.uniform_index(120);
+    const Index sq = 1 + rng.uniform_index(sk);
+    const StructuredMask m = test::random_structured_mask(rng, sq, sk);
+    const Matrix dense = m.to_dense();
+    std::vector<ColumnRun> runs;
+    for (Index i = 0; i < sq; ++i) {
+      m.row_runs(i, runs);
+      std::vector<ColumnRun> expect;
+      for (Index j = 0; j < sk; ++j) {
+        if (dense(i, j) == 0.0f) continue;
+        if (!expect.empty() && expect.back().hi == j) {
+          ++expect.back().hi;
+        } else {
+          expect.push_back({j, j + 1});
+        }
+      }
+      ASSERT_EQ(runs, expect) << "t=" << t << " row " << i;
+    }
+  }
+}
+
 TEST(StructuredMask, FullWindowDensityIsOne) {
   StructuredMask m(12, 12);
   m.set_window(12);
@@ -147,6 +190,21 @@ TEST_P(MaskDensityProperty, DensityInUnitInterval) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskDensityProperty, ::testing::Range(0, 10));
+
+// density() is an integer count over causal_pairs, so it must equal the
+// to_dense() count exactly, whatever the overlap between components.
+class RandomMaskDensity : public ::testing::TestWithParam<int> {};
+
+TEST_P(RandomMaskDensity, EqualsDenseCountExactly) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
+  const Index sk = 1 + rng.uniform_index(200);
+  const Index sq = 1 + rng.uniform_index(sk);
+  const StructuredMask m = test::random_structured_mask(rng, sq, sk);
+  EXPECT_EQ(m.density(), dense_count(m) / causal_pairs(sq, sk))
+      << "sq=" << sq << " sk=" << sk << " blocks=" << m.blocks().size();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RandomMaskDensity, ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace sattn

@@ -4,9 +4,13 @@
 #include <algorithm>
 #include <set>
 
+#include "attention/attention_method.h"
+#include "attention/microkernel.h"
 #include "attention/score_utils.h"
 #include "core/numerics.h"
 #include "core/rng.h"
+#include "model/synthetic_model.h"
+#include "model/workload.h"
 #include "sample_attention/sampling.h"
 
 namespace sattn {
@@ -110,6 +114,61 @@ TEST(SamplingOverhead, ProportionalToRatio) {
   EXPECT_GT(f_big, f_small);
   EXPECT_LT(f_small, 0.12);
   EXPECT_GT(f_small, 0.01);
+}
+
+TEST(SampleColumnWeights, BitIdenticalToSerialBlockedReference) {
+  // Stage-1 scores its sampled rows on the thread pool in batches; every
+  // statistic must still equal a serial pass over the same 4-row chunks
+  // (mk::logits_rows + softmax_prefix_inplace, rows reduced in order), bit
+  // for bit, so Stage-2's stripe choice cannot depend on the pool. 2048
+  // tokens at 5% is 102 rows: more than one kScoreBatchRows batch.
+  const Index s = 2048;
+  const AttentionInput in = generate_attention(chatglm2_6b(), plain_prompt(3, s), 7, 7);
+  const Index window = 164;
+  const SampleStats st = sample_column_weights(in, 0.05, SamplingPolicy::kStride, window);
+  ASSERT_GT(static_cast<Index>(st.sampled_rows.size()), kScoreBatchRows);
+
+  std::vector<double> acc(static_cast<std::size_t>(s), 0.0);
+  std::vector<double> hist(SampleStats::kDistanceBuckets, 0.0);
+  const Index bucket = (s + SampleStats::kDistanceBuckets - 1) / SampleStats::kDistanceBuckets;
+  double total = 0.0, in_window = 0.0;
+  std::vector<float> buf(static_cast<std::size_t>(mk::kQRows * s));
+  const auto n = static_cast<Index>(st.sampled_rows.size());
+  for (Index c = 0; c < n; c += mk::kQRows) {
+    const Index nr = std::min(mk::kQRows, n - c);
+    Index rows[mk::kQRows] = {};
+    float* out[mk::kQRows] = {};
+    for (Index r = 0; r < nr; ++r) {
+      rows[r] = st.sampled_rows[static_cast<std::size_t>(c + r)];
+      out[r] = buf.data() + static_cast<std::size_t>(r * s);
+    }
+    mk::logits_rows(in, rows, nr, out);
+    for (Index r = 0; r < nr; ++r) {
+      const Index lim = causal_limit(rows[r], s, s);
+      softmax_prefix_inplace(std::span<float>(out[r], static_cast<std::size_t>(s)), lim + 1);
+      double row_total = 0.0, row_window = 0.0;
+      for (Index j = 0; j <= lim; ++j) {
+        const float p = out[r][j];
+        row_total += p;
+        hist[static_cast<std::size_t>(
+            std::min<Index>(SampleStats::kDistanceBuckets - 1, (lim - j) / bucket))] += p;
+        if (j <= lim - window) {
+          acc[static_cast<std::size_t>(j)] += p;
+        } else {
+          row_window += p;
+        }
+      }
+      total += row_total;
+      in_window += row_window;
+    }
+  }
+  ASSERT_EQ(st.column_weight.size(), acc.size());
+  for (std::size_t j = 0; j < acc.size(); ++j) {
+    ASSERT_EQ(st.column_weight[j], static_cast<float>(acc[j])) << "column " << j;
+  }
+  EXPECT_EQ(st.distance_hist, hist);
+  EXPECT_EQ(st.total_mass, total);
+  EXPECT_EQ(st.window_mass, in_window);
 }
 
 // Property: the sampled column statistic approximates the full-row statistic

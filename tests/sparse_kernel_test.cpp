@@ -1,16 +1,21 @@
 // Tests for the sparse flash kernel: it must equal a masked reference
 // softmax exactly (softmax over the kept keys), reduce to the dense kernel
-// under a full mask, and handle window/stripe/block overlap without double
-// counting.
+// under a full mask, and handle window/stripe/band/block overlap without
+// double counting.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "attention/full_attention.h"
 #include "attention/sparse_flash_attention.h"
 #include "core/numerics.h"
 #include "core/rng.h"
+#include "core/simd.h"
+#include "obs/accounting.h"
+#include "obs/trace.h"
+#include "random_mask.h"
 
 namespace sattn {
 namespace {
@@ -112,6 +117,19 @@ TEST(SparseFlash, BlockOverlappingStripeAndWindowNotDoubleCounted) {
   EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 2e-5f);
 }
 
+TEST(SparseFlash, OverlappingBlocksCountOnce) {
+  // Cells inside both blocks are kept once: the softmax must not weigh
+  // them twice.
+  AttentionInput in = random_input(32, 8, 9);
+  StructuredMask mask(32, 32);
+  mask.set_window(2);
+  mask.add_block({8, 24, 2, 10});
+  mask.add_block({12, 28, 6, 14});  // overlaps the first on columns 6..9
+  Matrix out;
+  sparse_flash_attention(in, mask, out);
+  EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 2e-5f);
+}
+
 TEST(SparseFlash, CrossLengthOffset) {
   AttentionInput in;
   in.q.resize(8, 8);
@@ -148,31 +166,48 @@ TEST(MaskedAttention, AdapterReportsDensity) {
   EXPECT_EQ(res.out.rows(), 32);
 }
 
-// Property sweep: kernel == masked reference on random masks.
+// Property sweep: kernel == masked reference on random masks that mix
+// window, scattered or fragmented stripes, diagonal bands and overlapping
+// blocks, at sizes that cross the kernel's 4-row groups and 32-row tiles
+// (sq <= sk), on both SIMD backends. The score evals the kernel charges must
+// equal sparse_flash_work(mask).
 class SparseKernelProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SparseKernelProperty, AgreesWithMaskedReference) {
   const int seed = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 13);
-  const Index s = 16 + static_cast<Index>(rng.uniform_index(48));
-  AttentionInput in = random_input(s, 8, static_cast<std::uint64_t>(seed) + 1000);
-  StructuredMask mask(s, s);
-  mask.set_window(1 + rng.uniform_index(s / 2));
-  std::vector<Index> cols;
-  const Index n_cols = rng.uniform_index(s / 2);
-  for (Index c = 0; c < n_cols; ++c) cols.push_back(rng.uniform_index(s));
-  mask.set_stripe_columns(cols);
-  if (seed % 2 == 0) {
-    const Index q0 = rng.uniform_index(s / 2);
-    const Index k0 = rng.uniform_index(s / 2);
-    mask.add_block({q0, q0 + 4, k0, k0 + 6});
+  constexpr Index kSizes[] = {1, 3, 5, 63, 65, 130, 257, 299};
+  const Index sk = seed < 8 ? kSizes[seed] : 1 + rng.uniform_index(300);
+  const Index sq = seed % 3 == 0 ? sk : 1 + rng.uniform_index(sk);
+  const Index d = seed % 2 == 0 ? 8 : 12;
+  AttentionInput in;
+  in.q.resize(sq, d);
+  in.k.resize(sk, d);
+  in.v.resize(sk, d);
+  rng.fill_normal(in.q);
+  rng.fill_normal(in.k);
+  rng.fill_normal(in.v);
+  const StructuredMask mask = test::random_structured_mask(rng, sq, sk);
+  const Matrix ref = masked_reference(in, mask);
+
+  ASSERT_TRUE(obs::set_enabled(true)) << "SATTN_TRACE=0 in the test environment";
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ScopedForceScalar> force;
+    if (scalar) force.emplace();
+    obs::ResourceAccountant::global().reset();
+    Matrix out;
+    sparse_flash_attention(in, mask, out);
+    EXPECT_LT(max_abs_diff(out, ref), 3e-5f)
+        << "seed=" << seed << " sq=" << sq << " sk=" << sk << " " << simd::active_level_name();
+    const double evals =
+        obs::ResourceAccountant::global().kernel_total("sparse_flash").flops / (4.0 * d);
+    EXPECT_NEAR(evals, sparse_flash_work(mask), 1e-9 * std::max(1.0, evals)) << "seed=" << seed;
   }
-  Matrix out;
-  sparse_flash_attention(in, mask, out);
-  EXPECT_LT(max_abs_diff(out, masked_reference(in, mask)), 3e-5f) << "seed=" << seed;
+  obs::set_enabled(false);
+  obs::ResourceAccountant::global().reset();
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelProperty, ::testing::Range(0, 12));
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseKernelProperty, ::testing::Range(0, 24));
 
 }  // namespace
 }  // namespace sattn

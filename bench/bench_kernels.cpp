@@ -244,7 +244,6 @@ void BM_RaggedBatchDense(benchmark::State& state) {
     Matrix& out = outs[static_cast<std::size_t>(i)];
     out.resize(in.sq(), in.head_dim());
     RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = in.q.data();
     seq.rows = in.sq();
     seq.kv = mk::KvView::of(in);
@@ -288,7 +287,6 @@ void BM_RaggedBatchDecode(benchmark::State& state) {
   RaggedBatchView view;
   for (Index i = 0; i < batch; ++i) {
     RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = in.q.row(0).data();
     seq.rows = 1;
     seq.kv = mk::KvView::of(in);

@@ -95,7 +95,7 @@ AttentionInput random_square_input(Index s, Index d, std::uint64_t seed) {
 }
 
 // Measured single-threaded chunked-prefill seconds for a prompt of length
-// s — the exact flash_rows chunk pattern the engine's dense route runs,
+// s — the exact flash_rows chunk pattern the engine's dense chunks run,
 // without the pool (min of three trials).
 double measured_prefill_seconds(Index s, Index d, Index chunk, const FlashConfig& flash) {
   const AttentionInput in = random_square_input(s, d, 0xca11b ^ static_cast<std::uint64_t>(s));

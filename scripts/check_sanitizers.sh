@@ -3,6 +3,11 @@
 #
 #   1. ASan+UBSan: builds a side tree with -DSATTN_SANITIZE=address,undefined
 #      and runs the full ctest suite; any report fails the run.
+#  1b. The kernel-heavy suites again under ASan+UBSan, once per SIMD
+#      backend: simd_kernel_test, attention_test, sparse_kernel_test,
+#      block_sparse_test, sampling_test (Stage-1 reads K through
+#      mk::KvView), engine_test's RaggedBatch parity, chaos_engine_test,
+#      kv_page_test and audit_test.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
 #      the concurrency-heavy binaries — core_test, sparse_kernel_test,
 #      sampling_test, obs_test, scheduler_test, accounting_test, engine_test,
@@ -51,6 +56,9 @@ for mode in 1 0; do
   SATTN_FORCE_SCALAR="$mode" "$build/tests/attention_test"
   SATTN_FORCE_SCALAR="$mode" "$build/tests/sparse_kernel_test"
   SATTN_FORCE_SCALAR="$mode" "$build/tests/block_sparse_test"
+  # Stage-1 reads K through mk::KvView: planning a chunk in place (flat or
+  # paged) must equal planning the materialized chunk on both backends.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/sampling_test"
   # Ragged-batch parity must hold bit-exactly on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" --gtest_filter='RaggedBatch.*'
   # Chaos harness: eviction-compacted caches must keep the sweep

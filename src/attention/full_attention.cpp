@@ -51,7 +51,7 @@ void full_attention(const AttentionInput& in, Matrix& out) {
       q_rows[r] = i0 + r;
       rows[r] = buf.data() + static_cast<std::size_t>(r * sk);
     }
-    mk::logits_rows(in, q_rows, nr, rows);
+    mk::logits_rows(in.q.data(), sq, mk::KvView::of(in), sk, q_rows, nr, rows);
     for (Index r = 0; r < nr; ++r) {
       const Index lim = causal_limit(i0 + r, sq, sk);
       softmax_prefix_inplace(std::span<float>(rows[r], static_cast<std::size_t>(sk)), lim + 1);

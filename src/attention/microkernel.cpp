@@ -165,10 +165,11 @@ void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
   }
 }
 
-void logits_rows(const AttentionInput& in, const Index* q_rows, Index rows, float* const* out) {
+void logits_rows(const float* q, Index sq, const KvView& kv, Index sk, const Index* q_rows,
+                 Index rows, float* const* out) {
   assert(rows >= 1 && rows <= kQRows);
   const simd::Ops& ops = simd::ops();
-  const Index sq = in.sq(), sk = in.sk(), d = in.head_dim();
+  const Index d = kv.d;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
 
   // Order rows by ascending causal limit so key j is scored against exactly
@@ -192,13 +193,17 @@ void logits_rows(const AttentionInput& in, const Index* q_rows, Index rows, floa
     const Index nact = rows - g;
     const float* qp[kQRows];
     for (Index t = 0; t < nact; ++t) {
-      qp[t] = in.q.row(q_rows[ord[g + t]]).data();
+      qp[t] = q + static_cast<std::size_t>(q_rows[ord[g + t]]) * static_cast<std::size_t>(d);
     }
     float s[kQRows];
-    for (; j <= lim; ++j) {
-      ops.dotn(qp, nact, in.k.row(j).data(), d, s);
-      for (Index t = 0; t < nact; ++t) {
-        out[ord[g + t]][j] = scale * s[t];
+    while (j <= lim) {
+      const Index re = kv.run_end(j, lim + 1);
+      const float* krow = kv.k_row(j);
+      for (; j < re; ++j, krow += d) {
+        ops.dotn(qp, nact, krow, d, s);
+        for (Index t = 0; t < nact; ++t) {
+          out[ord[g + t]][j] = scale * s[t];
+        }
       }
     }
   }

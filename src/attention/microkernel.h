@@ -11,9 +11,9 @@
 //     flash_attention.h; that header re-exports it, so existing includes
 //     keep working).
 //   * mk::KvView — a raw, non-owning view of one K/V stream (base pointers
-//     + head_dim). The absorb paths take this instead of an AttentionInput,
-//     so the same tile sweep serves a request's prefill matrices, a KV
-//     cache's contiguous storage, or one sequence of a ragged batch
+//     + head_dim). The absorb and score paths take this instead of an
+//     AttentionInput, so the same sweep serves a request's prefill
+//     matrices, a KV cache's page table, or one sequence of a ragged batch
 //     (src/runtime/batch.h) without materializing per-call tensors.
 //   * mk::QBlock / mk::absorb_key_runs — the register-blocked core: up to
 //     mk::kQRows query rows advance through a set of key runs together, so
@@ -27,7 +27,8 @@
 //     fall back to the single-row path, so masked (never-visited) K/V
 //     entries are never read.
 //   * mk::logits_rows — the blocked score path used by for_each_score_row
-//     (Stage-1 sampling): up to kQRows sampled rows share one pass over K.
+//     (Stage-1 sampling, the quality audit): up to kQRows sampled rows share
+//     one pass over K.
 //
 // All paths call simd::ops() — AVX2/FMA where the CPU supports it, the
 // portable scalar table under SATTN_FORCE_SCALAR=1 or simd::ScopedForceScalar.
@@ -168,11 +169,14 @@ void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
                      const Index* hi, std::vector<float>& logits);
 
 // Blocked score path: fills out[r][0..sk) with the causal logits row of
-// query q_rows[r] (same semantics as logits_row in full_attention.h: the
-// causal prefix holds scale * q·k, the masked tail is -inf), sharing each K
-// row across all block rows whose causal limit reaches it. Rows need not be
+// query row q_rows[r] of q (sq contiguous rows of kv.d floats) against keys
+// [0, sk) of kv — same semantics as logits_row in full_attention.h: the
+// causal prefix holds scale * q·k, the masked tail is -inf. Each K row is
+// shared across all block rows whose causal limit reaches it, and K is
+// walked one contiguous run at a time (KvView::run_end). Rows need not be
 // sorted; each out[r] must hold at least sk floats. rows is 1..kQRows.
-void logits_rows(const AttentionInput& in, const Index* q_rows, Index rows, float* const* out);
+void logits_rows(const float* q, Index sq, const KvView& kv, Index sk, const Index* q_rows,
+                 Index rows, float* const* out);
 
 }  // namespace mk
 }  // namespace sattn

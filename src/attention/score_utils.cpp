@@ -13,7 +13,12 @@ namespace sattn {
 
 void for_each_score_row(const AttentionInput& in, std::span<const Index> rows,
                         const std::function<void(Index, std::span<const float>)>& visit) {
-  const Index sq = in.sq(), sk = in.sk();
+  for_each_score_row(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), rows, visit);
+}
+
+void for_each_score_row(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                        std::span<const Index> rows,
+                        const std::function<void(Index, std::span<const float>)>& visit) {
   // Blocked score path: chunks of up to mk::kQRows sampled rows share one
   // pass over K (mk::logits_rows). A batch of up to kScoreBatchRows rows is
   // scored and softmaxed chunk-parallel into scratch, then its rows are
@@ -38,7 +43,7 @@ void for_each_score_row(const AttentionInput& in, std::span<const Index> rows,
         assert(q_rows[r] >= 0 && q_rows[r] < sq);
         out[r] = row_buf(c0 - b0 + r);
       }
-      mk::logits_rows(in, q_rows, nr, out);
+      mk::logits_rows(q, sq, kv, sk, q_rows, nr, out);
       for (Index r = 0; r < nr; ++r) {
         softmax_prefix_inplace(std::span<float>(out[r], static_cast<std::size_t>(sk)),
                                causal_limit(q_rows[r], sq, sk) + 1);

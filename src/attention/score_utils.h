@@ -10,6 +10,7 @@
 #include <functional>
 #include <vector>
 
+#include "attention/microkernel.h"
 #include "core/tensor.h"
 
 namespace sattn {
@@ -26,6 +27,14 @@ inline constexpr Index kScoreBatchRows = 32;
 // thread pool, a batch of kScoreBatchRows at a time; a row's values depend
 // only on its chunk (rows[4c .. 4c+3]), never on the pool. The row buffers
 // are reused between batches.
+//
+// View form: q holds sq contiguous rows of kv.d floats and keys come from
+// [0, sk) of the (flat or paged) view, so a chunk of a longer prompt is
+// scored where its K lives. The tensor overload forwards with
+// mk::KvView::of(in).
+void for_each_score_row(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                        std::span<const Index> rows,
+                        const std::function<void(Index, std::span<const float>)>& visit);
 void for_each_score_row(const AttentionInput& in, std::span<const Index> rows,
                         const std::function<void(Index, std::span<const float>)>& visit);
 

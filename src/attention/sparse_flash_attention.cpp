@@ -109,16 +109,16 @@ void key_chunk_cuts(std::span<const ColumnRun> guide, Index sk, std::vector<Inde
 }  // namespace
 
 void sparse_flash_attention(const AttentionInput& in, const StructuredMask& mask, Matrix& out) {
-  sparse_flash_attention(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), mask, out);
+  out.resize(in.sq(), in.head_dim());
+  sparse_flash_attention(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), mask, out.data());
 }
 
 void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
-                            const StructuredMask& mask, Matrix& out) {
+                            const StructuredMask& mask, float* out) {
   const Index d = kv.d;
   assert(mask.sq() == sq && mask.sk() == sk);
   SATTN_SPAN("kernel/sparse_flash");
   SATTN_COUNTER_ADD("sattn.mask_stripe_columns", mask.stripe_columns().size());
-  out.resize(sq, d);
   // Measured work: the kept keys each row absorbs, plus the mask metadata
   // read to build its runs (8 bytes per stripe run / window / band / block
   // descriptor, per row). Tallied per tile, one atomic add each.
@@ -207,7 +207,7 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
     }
     for (Index r = 0; r < nt; ++r) {
       mk::finalize_row(sc.acc.row(r).data(), sc.l[static_cast<std::size_t>(r)], d,
-                       out.row(t0 + r).data());
+                       out + static_cast<std::size_t>(t0 + r) * static_cast<std::size_t>(d));
     }
     evals_total.fetch_add(tile_evals, std::memory_order_relaxed);
     meta_reads.fetch_add(tile_meta, std::memory_order_relaxed);

@@ -33,12 +33,13 @@ namespace sattn {
 void sparse_flash_attention(const AttentionInput& in, const StructuredMask& mask, Matrix& out);
 
 // View form: q is sq contiguous rows of kv.d floats, keys/values come from
-// the (flat or paged) view — this is how the ragged sweep runs the sparse
-// route straight out of a KVCache's page table (runtime/batch.h). The
-// tensor overload above forwards here with mk::KvView::of(in), so both are
-// bit-identical by construction.
+// [0, sk) of the (flat or paged) view, and the sq normalized output rows
+// land at out + r*kv.d (contiguous), as flash_rows writes them — this is
+// how the ragged sweep runs a masked sequence in place (runtime/batch.h).
+// The tensor overload above resizes out and forwards here with
+// mk::KvView::of(in), so both are bit-identical by construction.
 void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
-                            const StructuredMask& mask, Matrix& out);
+                            const StructuredMask& mask, float* out);
 
 // Exact number of (query, key) score evaluations the kernel performs for
 // this mask — used by tests (vs mask.density) and by the cost model.

@@ -50,18 +50,19 @@ bool QualityAuditor::selects_row(std::string_view request_id, Index abs_row) con
   return unit_hash(mix_audit(opts_.seed, request_id, abs_row)) < opts_.sample_rate;
 }
 
-AuditResult QualityAuditor::audit_chunk(std::string_view request_id, const AttentionInput& chunk,
+AuditResult QualityAuditor::audit_chunk(std::string_view request_id, const float* q, Index sq,
+                                        const mk::KvView& kv, Index sk,
                                         const StructuredMask& mask, Index q_lo, long long layer,
                                         long long head, double predicted) {
   AuditResult res;
-  if (opts_.sample_rate <= 0.0 || chunk.sq() <= 0) return res;
+  if (opts_.sample_rate <= 0.0 || sq <= 0) return res;
 
   // Threshold-hash selection over the chunk's rows. The budget keeps the
   // lowest-hash rows, which preserves nesting across sample rates: the
   // budgeted set at rate r1 is always a subset of the budgeted set at any
   // r2 > r1, so the min-estimate stays monotone in the rate.
   std::vector<std::pair<double, Index>> picked;  // (hash, chunk-local row)
-  for (Index i = 0; i < chunk.sq(); ++i) {
+  for (Index i = 0; i < sq; ++i) {
     const double u = unit_hash(mix_audit(opts_.seed, request_id, q_lo + i));
     if (u < opts_.sample_rate) picked.emplace_back(u, i);
   }
@@ -79,17 +80,16 @@ AuditResult QualityAuditor::audit_chunk(std::string_view request_id, const Atten
   std::vector<double> mass;
   mass.reserve(rows.size());
   double evals = 0.0;
-  for_each_score_row(chunk, rows, [&](Index i, std::span<const float> p) {
+  for_each_score_row(q, sq, kv, sk, rows, [&](Index i, std::span<const float> p) {
     mass.push_back(row_retained_mass(p, mask, i));
-    evals += static_cast<double>(causal_limit(i, chunk.sq(), chunk.sk()) + 1);
+    evals += static_cast<double>(causal_limit(i, sq, sk) + 1);
   });
   res.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 
   // Ground truth is one dense score row per audited row: bill it like the
   // dense kernels so acct.audit.* carries the measured audit cost.
-  charge_attention_kernel("audit", static_cast<long long>(rows.size()), chunk.sk(),
-                          chunk.head_dim(), evals);
+  charge_attention_kernel("audit", static_cast<long long>(rows.size()), sk, kv.d, evals);
 
   res.rows = static_cast<Index>(mass.size());
   res.cra_min = 1.0;

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "attention/masks.h"
+#include "attention/microkernel.h"
 #include "core/tensor.h"
 
 namespace sattn::obs {
@@ -97,16 +98,17 @@ class QualityAuditor {
   // request. Pure: depends only on (seed, request_id, abs_row, sample_rate).
   bool selects_row(std::string_view request_id, Index abs_row) const;
 
-  // Audits the deployed mask of one prefill chunk. `chunk` holds query rows
-  // [q_lo, q_lo + chunk.sq()) of the request (k/v prefix [0, chunk.sk())),
-  // exactly as handed to the sparse kernel; `mask` is the plan actually
-  // executed; `predicted` is the planner's own CRA claim for this chunk
-  // (SamplePlan.filter.coverage). Recomputes ground-truth softmax rows for
-  // the selected subset and scores row_retained_mass against the mask.
-  // Returns rows = 0 without touching Q/K when nothing is selected.
-  AuditResult audit_chunk(std::string_view request_id, const AttentionInput& chunk,
-                          const StructuredMask& mask, Index q_lo, long long layer,
-                          long long head, double predicted);
+  // Audits the deployed mask of one prefill chunk. `q` holds the chunk's sq
+  // query rows — rows [q_lo, q_lo + sq) of the request — and keys are
+  // [0, sk) of the (flat or paged) view, exactly as handed to the sparse
+  // kernel; `mask` is the plan actually executed; `predicted` is the
+  // planner's own CRA claim for this chunk (SamplePlan.filter.coverage).
+  // Recomputes ground-truth softmax rows for the selected subset and scores
+  // row_retained_mass against the mask. Returns rows = 0 without touching
+  // Q/K when nothing is selected.
+  AuditResult audit_chunk(std::string_view request_id, const float* q, Index sq,
+                          const mk::KvView& kv, Index sk, const StructuredMask& mask,
+                          Index q_lo, long long layer, long long head, double predicted);
 
   // Records one already-scored decode row (the engine computes retained mass
   // from the exact decode weights via audited_decode_retained_mass in

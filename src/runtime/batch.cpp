@@ -13,36 +13,15 @@ namespace sattn {
 namespace {
 
 double run_seq(const RaggedSeq& s, const FlashConfig& flash) {
-  switch (s.route) {
-    case SeqRoute::kDense: {
-      assert(s.q && s.out && (s.kv.paged() || (s.kv.k && s.kv.v)));
-      const double evals = flash_rows(s.q, s.rows, s.kv, s.k_hi, s.causal_off, s.out, s.kv.d, flash);
-      obs::charge_attention_kernel("flash", s.rows, s.k_hi, s.kv.d, evals);
-      return evals;
-    }
-    // The structured routes take either the tensor form (chunk) mask
-    // planning materialized, or the view form (q + kv + k_hi) that reads
-    // straight through a KVCache's page table.
-    case SeqRoute::kSparse:
-      assert(s.mask && s.out_mat);
-      if (s.chunk != nullptr) {
-        sparse_flash_attention(*s.chunk, *s.mask, *s.out_mat);
-      } else {
-        assert(s.q && (s.kv.paged() || (s.kv.k && s.kv.v)));
-        sparse_flash_attention(s.q, s.rows, s.kv, s.k_hi, *s.mask, *s.out_mat);
-      }
-      return 0.0;
-    case SeqRoute::kBlockSparse:
-      assert(s.layout && s.out_mat);
-      if (s.chunk != nullptr) {
-        block_sparse_attention(*s.chunk, *s.layout, *s.out_mat);
-      } else {
-        assert(s.q && (s.kv.paged() || (s.kv.k && s.kv.v)));
-        block_sparse_attention(s.q, s.rows, s.kv, s.k_hi, *s.layout, *s.out_mat);
-      }
-      return 0.0;
+  assert(s.q && s.out && (s.kv.paged() || (s.kv.k && s.kv.v)));
+  if (s.mask != nullptr) {
+    assert(s.causal_off == s.k_hi - s.rows);
+    sparse_flash_attention(s.q, s.rows, s.kv, s.k_hi, *s.mask, s.out);
+    return 0.0;
   }
-  return 0.0;
+  const double evals = flash_rows(s.q, s.rows, s.kv, s.k_hi, s.causal_off, s.out, s.kv.d, flash);
+  obs::charge_attention_kernel("flash", s.rows, s.k_hi, s.kv.d, evals);
+  return evals;
 }
 
 }  // namespace
@@ -72,11 +51,11 @@ std::vector<SeqCost> ragged_attention_sweep(const RaggedBatchView& batch) {
     cost.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     // Shadow quality audit, outside the kernel timing window: re-enters the
     // request context so the audit's acct.* charges attribute correctly.
-    if (s.auditor != nullptr && s.route == SeqRoute::kSparse && s.chunk != nullptr &&
-        s.mask != nullptr) {
+    if (s.auditor != nullptr && s.mask != nullptr) {
       const auto run_audit = [&] {
-        return s.auditor->audit_chunk(s.request_id, *s.chunk, *s.mask, s.audit_q_lo,
-                                      s.audit_layer, s.audit_head, s.audit_predicted);
+        return s.auditor->audit_chunk(s.request_id, s.q, s.rows, s.kv, s.k_hi, *s.mask,
+                                      s.audit_q_lo, s.audit_layer, s.audit_head,
+                                      s.audit_predicted);
       };
       if (s.request_id.empty()) {
         cost.audit = run_audit();

@@ -15,19 +15,17 @@
 // wall time so the engine (runtime/engine.h) can bill TTFT compute
 // per batch element.
 //
-// Three routes cover the repo's kernel lineup:
-//   * kDense       — exact attention via flash_rows over raw spans
-//                    (zero-copy; serves dense prefill chunks and decode
-//                    steps straight out of a KVCache's flat storage);
-//   * kSparse      — sparse_flash_attention over a planned StructuredMask
-//                    (SampleAttention's Stage-2 under chunked prefill);
-//   * kBlockSparse — block_sparse_attention over a BlockSparseLayout.
-// The sparse routes take tensor-shaped inputs because mask planning already
-// materialized them; the dense route needs none of that.
+// Every sequence has one shape — query rows, a key/value view, a causal
+// limit and output rows — and runs one of two kernels:
+//   * no mask — exact attention via flash_rows (dense prefill chunks and
+//     decode steps, straight out of a request's tensors or a KVCache);
+//   * a mask  — sparse_flash_attention over a planned StructuredMask
+//     (SampleAttention's Stage-2 under chunked prefill), read in place the
+//     same way.
 //
-// Parity contract (pinned in tests/engine_test.cpp): for every route, the
-// batched output is bit-identical to running the per-request kernel on each
-// sequence alone. The sweep introduces no new arithmetic — only scheduling.
+// Parity contract (pinned in tests/engine_test.cpp): for every sequence, the
+// batched output is bit-identical to running its kernel alone. The sweep
+// introduces no new arithmetic — only scheduling.
 //
 // form_step is the deterministic batch-formation policy the engine uses:
 // a pure function from a snapshot of live requests to the step's work list,
@@ -37,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "attention/block_sparse.h"
 #include "attention/flash_attention.h"
 #include "attention/microkernel.h"
 #include "attention/sparse_flash_attention.h"
@@ -45,8 +42,6 @@
 #include "obs/audit.h"
 
 namespace sattn {
-
-enum class SeqRoute { kDense, kSparse, kBlockSparse };
 
 // One sequence's attention work for this iteration. Non-owning throughout:
 // every pointer aliases caller-owned storage that must outlive the sweep.
@@ -57,11 +52,9 @@ struct RaggedSeq {
   // RequestContext, so the Chrome exporter can give every request its own
   // lane of chunk/step spans. Null skips the span.
   const char* span_name = nullptr;
-  SeqRoute route = SeqRoute::kDense;
 
-  // kDense: flash sweep over raw spans. Row r of `q` attends keys
-  // [0, min(k_hi, r + causal_off + 1)) of `kv`; normalized outputs land at
-  // out + r*kv.d (contiguous).
+  // Row r of `q` attends keys [0, min(k_hi, r + causal_off + 1)) of `kv`;
+  // normalized outputs land at out + r*kv.d (contiguous).
   const float* q = nullptr;  // rows x kv.d, contiguous
   Index rows = 0;
   mk::KvView kv;
@@ -69,22 +62,17 @@ struct RaggedSeq {
   Index causal_off = 0;
   float* out = nullptr;
 
-  // kSparse / kBlockSparse: the structured kernels run either the tensor
-  // form (`chunk` + mask/layout, as materialized by mask planning) or —
-  // when `chunk` is null — the view form over the dense-route fields
-  // (q/rows/kv/k_hi), which reads keys and values straight through a paged
-  // KVCache view. `out_mat` receives the kernel output ([rows x d]).
-  const AttentionInput* chunk = nullptr;
+  // Optional planned mask, (rows x k_hi) with causal_off == k_hi - rows:
+  // when set the sequence runs sparse_flash_attention over it instead of
+  // flash_rows.
   const StructuredMask* mask = nullptr;
-  const BlockSparseLayout* layout = nullptr;
-  Matrix* out_mat = nullptr;
 
-  // Shadow quality audit (obs/audit.h). When non-null and the sequence runs
-  // the sparse route, the sweep scores the deployed `mask` against
-  // ground-truth softmax rows for the auditor's sampled subset of this
-  // chunk's rows, after the kernel timing window closes — audit wall time
-  // lands in SeqCost.audit.seconds, never in SeqCost.seconds, so measured
-  // compute stays honest and the engine can bill the audit to guard time.
+  // Shadow quality audit (obs/audit.h). When non-null and the sequence has
+  // a mask, the sweep scores that mask against ground-truth softmax rows
+  // for the auditor's sampled subset of this chunk's rows, after the kernel
+  // timing window closes — audit wall time lands in SeqCost.audit.seconds,
+  // never in SeqCost.seconds, so measured compute stays honest and the
+  // engine can bill the audit to guard time.
   obs::QualityAuditor* auditor = nullptr;
   Index audit_q_lo = 0;          // absolute row of chunk-local row 0
   long long audit_layer = 0;     // scorecard attribution
@@ -94,7 +82,7 @@ struct RaggedSeq {
 
 struct RaggedBatchView {
   std::vector<RaggedSeq> seqs;
-  FlashConfig flash;  // tiling for the dense route
+  FlashConfig flash;  // tiling for the unmasked sequences
 };
 
 // Measured per-sequence cost of one sweep. Wall times are disjoint per
@@ -102,8 +90,8 @@ struct RaggedBatchView {
 // them into per-request compute buckets without double counting.
 struct SeqCost {
   double seconds = 0.0;
-  double evals = 0.0;  // causal score evaluations (dense route; sparse
-                       // routes charge acct.* internally and report 0 here)
+  double evals = 0.0;  // causal score evaluations (unmasked sequences; the
+                       // sparse kernel charges acct.* itself and reports 0)
   obs::AuditResult audit;  // shadow-audit outcome (rows = 0 when not audited)
 };
 

@@ -121,16 +121,17 @@ struct ServingEngine::Live {
   bool kv_waited = false;  // pressure wait counted once per request
   std::unique_ptr<EvictionPolicy> evict;  // pressure rung, decode phase
 
-  // Decode-phase shadow audit (obs/audit.h): the last accepted plan's
-  // structure, captured at prefill so sampled decode rows can score the
-  // plan's window + stripes against the exact decode weights.
-  std::vector<Index> audit_stripes;
-  Index audit_window = 0;
-  double audit_predicted = 1.0;
-  bool audit_has_plan = false;
-  // Sparse-residency eviction reuses the captured plan structure; set
-  // whenever a plan was accepted, independent of the auditor.
-  bool resid_has_plan = false;
+  // The plan record: the structure of the last completed prefill chunk's
+  // accepted plan, kept only when the auditor or sparse residency reads it.
+  // The decode-phase shadow audit (obs/audit.h) scores sampled decode rows'
+  // exact weights against its window + stripes, and sparse-residency
+  // eviction keeps exactly those slots at prefill-done. A chunk served by
+  // the dense rung clears it: an earlier chunk's stripes span only that
+  // chunk's keys.
+  std::vector<Index> plan_stripes;
+  Index plan_window = 0;
+  double plan_predicted = 1.0;
+  bool has_plan = false;
 
   Live(Index head_dim, FaultSpec fault, std::shared_ptr<KvPageArena> arena)
       : cache(head_dim, std::move(arena)), injector(fault) {}
@@ -714,10 +715,7 @@ void ServingEngine::loop() {
       bool decode = false;
       double plan_s = 0.0;   // accepted attempt's planning time (compute)
       bool escalated = false;
-      // Sparse-route storage (sample mode): kept alive through the sweep.
-      std::unique_ptr<AttentionInput> chunk;
-      std::unique_ptr<SamplePlan> plan;
-      std::unique_ptr<Matrix> chunk_out;
+      std::unique_ptr<SamplePlan> plan;  // accepted plan, alive through the sweep
     };
     std::vector<ItemState> items;
     items.reserve(step.size());
@@ -747,72 +745,54 @@ void ServingEngine::loop() {
       RaggedSeq seq;
       seq.request_id = request_key(opts_.run_label, lr->req.id);
       seq.span_name = si.decode ? "seq/decode_step" : "seq/prefill_chunk";
-      const Index d = opts_.head_dim;
       if (si.decode) {
-        seq.route = SeqRoute::kDense;
         seq.q = lr->dec_q.row(lr->decoded).data();
         seq.rows = 1;
         seq.kv = lr->cache.view();  // reads straight through the page table
         seq.k_hi = lr->cache.size();
         seq.causal_off = seq.k_hi - 1;
         seq.out = lr->dec_out.data();
-      } else if (opts_.mode == EngineMode::kDense) {
-        // Zero-copy chunked prefill: queries [q_lo, q_hi) against the key
-        // prefix [0, q_hi) of the request's own square input.
-        seq.route = SeqRoute::kDense;
+      } else {
+        // Zero-copy chunked prefill, in either mode: queries [q_lo, q_hi)
+        // against the key prefix [0, q_hi) of the request's own square input.
         seq.q = lr->in.q.row(si.q_lo).data();
         seq.rows = si.q_hi - si.q_lo;
         seq.kv = mk::KvView::of(lr->in);
         seq.k_hi = si.q_hi;
         seq.causal_off = si.q_lo;
         seq.out = lr->out.row(si.q_lo).data();
-      } else {
-        // SampleAttention chunk: materialize the chunk, run the measured
-        // plan/validate/escalate ladder, then execute the accepted plan's
-        // sparse kernel (or the dense fallback) inside the sweep.
-        st.chunk = std::make_unique<AttentionInput>();
-        st.chunk->q.resize(si.q_hi - si.q_lo, d);
-        st.chunk->k.resize(si.q_hi, d);
-        st.chunk->v.resize(si.q_hi, d);
-        for (Index r = 0; r < si.q_hi - si.q_lo; ++r) {
-          const auto src = lr->in.q.row(si.q_lo + r);
-          std::copy(src.begin(), src.end(), st.chunk->q.row(r).begin());
-        }
-        for (Index r = 0; r < si.q_hi; ++r) {
-          const auto ks = lr->in.k.row(r);
-          const auto vs = lr->in.v.row(r);
-          std::copy(ks.begin(), ks.end(), st.chunk->k.row(r).begin());
-          std::copy(vs.begin(), vs.end(), st.chunk->v.row(r).begin());
-        }
-
-        // Degrade level -> planner budget: the ladder's density scale
-        // multiplies the CRA threshold and window budget, the same knobs
-        // the simulator's cost model scales.
+      }
+      if (!si.decode && opts_.mode == EngineMode::kSampleAttention) {
+        // SampleAttention chunk: plan it in place and walk the measured
+        // plan/validate/escalate ladder. An accepted plan's mask sends the
+        // sequence through the sparse kernel; the dense rung leaves it
+        // unmasked. Degrade level -> planner budget: the ladder's density
+        // scale multiplies the CRA threshold and window budget, the same
+        // knobs the simulator's cost model scales.
         SampleAttentionConfig cfg = opts_.sample;
         const double ds = opts_.density_scale(lr->level);
         cfg.alpha = std::min(1.0, cfg.alpha * ds);
         cfg.window_ratio = cfg.window_ratio * ds;
 
-        bool dense_fallback = false;
+        bool short_circuit = false;
         // Circuit breaker: while open, no guard time is burned on a planner
         // known to be faulting — the chunk short-circuits straight to the
         // dense rung. The first chunk after the cooldown probes half-open.
         if (breaker == Breaker::kOpen) {
           if (now() < breaker_open_until) {
-            dense_fallback = true;
+            short_circuit = true;
             SATTN_COUNTER_ADD("engine.breaker_short_circuits", 1);
           } else {
             breaker = Breaker::kHalfOpen;
             SATTN_GAUGE_SET("engine.breaker_state", 2.0);
           }
         }
-        if (!dense_fallback) {
-          Index resamples = 0, widens = 0;
-          for (;;) {
+        if (!short_circuit) {
+          for (const GuardRung& rung : escalation_ladder(cfg, opts_.guard)) {
             const double a0 = now();
-            SamplePlan plan = plan_sample_attention(*st.chunk, cfg);
+            SamplePlan plan = plan_sample_attention(seq.q, seq.rows, seq.kv, seq.k_hi, rung.cfg);
             if (opts_.guard.plan_hook) opts_.guard.plan_hook(plan);
-            const Status ok = validate_sample_plan(plan, *st.chunk, cfg, opts_.guard);
+            const Status ok = validate_sample_plan(plan, seq.rows, seq.k_hi, rung.cfg, opts_.guard);
             const double attempt_s = now() - a0;
             if (ok.ok()) {
               st.plan_s = attempt_s;
@@ -823,22 +803,12 @@ void ServingEngine::loop() {
             lr->guard_s += attempt_s;
             SATTN_COUNTER_ADD("engine.plan_rejects", 1);
             st.escalated = true;
-            if (resamples < opts_.guard.max_resamples) {
-              ++resamples;
-              cfg.row_ratio *= opts_.guard.resample_factor;
-            } else if (widens < opts_.guard.max_widens) {
-              ++widens;
-              cfg.window_ratio *= opts_.guard.widen_factor;
-            } else {
-              dense_fallback = true;  // exact rung, always valid
-              break;
-            }
           }
           // Breaker bookkeeping per planning episode: exhausting the whole
           // ladder is one consecutive plan fault; an accepted plan resets
           // the streak and closes a half-open breaker.
           if (opts_.breaker_fault_threshold > 0) {
-            if (dense_fallback || !st.plan) {
+            if (!st.plan) {
               ++consecutive_plan_faults;
               if (breaker == Breaker::kHalfOpen ||
                   consecutive_plan_faults >= opts_.breaker_fault_threshold) {
@@ -861,28 +831,13 @@ void ServingEngine::loop() {
         // One planning-episode telemetry event per chunk: retained-KV
         // fraction (mask density; 1.0 for the dense rung), escalation and
         // fallback bits feed the rolling drift monitors.
-        {
-          const bool fellback = dense_fallback || !st.plan;
-          const double retained = fellback ? 1.0 : st.plan->density;
-          const std::uint32_t aux =
-              (st.escalated ? 1u : 0u) | (fellback ? 2u : 0u);
-          tele_push(obs::TelemetryEventKind::kPlan, lr->req.id, now(), retained, aux);
-        }
-        if (dense_fallback || !st.plan) {
-          SATTN_COUNTER_ADD("engine.dense_fallbacks", 1);
-          seq.route = SeqRoute::kDense;
-          seq.q = lr->in.q.row(si.q_lo).data();
-          seq.rows = si.q_hi - si.q_lo;
-          seq.kv = mk::KvView::of(lr->in);
-          seq.k_hi = si.q_hi;
-          seq.causal_off = si.q_lo;
-          seq.out = lr->out.row(si.q_lo).data();
+        tele_push(obs::TelemetryEventKind::kPlan, lr->req.id, now(),
+                  st.plan ? st.plan->density : 1.0,
+                  (st.escalated ? 1u : 0u) | (st.plan ? 0u : 2u));
+        if (!st.plan) {
+          SATTN_COUNTER_ADD("engine.dense_fallbacks", 1);  // exact rung, always valid
         } else {
-          st.chunk_out = std::make_unique<Matrix>();
-          seq.route = SeqRoute::kSparse;
-          seq.chunk = st.chunk.get();
           seq.mask = &st.plan->mask;
-          seq.out_mat = st.chunk_out.get();
           if (auditor_) {
             // Shadow audit of the accepted plan, run by the sweep after the
             // kernel's timing window. Serving requests are single-head
@@ -960,7 +915,7 @@ void ServingEngine::loop() {
         // guard (TTFT is already fixed at prefill-done) and out of
         // decode_total_s (TPOT stays honest); the auditor tracks it as
         // overhead_seconds.
-        if (auditor_ && lr->audit_has_plan &&
+        if (auditor_ && lr->has_plan &&
             auditor_->selects_row(lr->req.id, lr->req.prompt_tokens + lr->decoded)) {
           const double a0 = now();
           std::vector<float> weights;
@@ -968,10 +923,10 @@ void ServingEngine::loop() {
           const Status ws =
               decode_attention(lr->dec_q.row(lr->decoded), lr->cache, scratch, &weights);
           if (ws.ok()) {
-            const double retained = audited_decode_retained_mass(
-                weights, lr->audit_stripes, lr->audit_window);
-            auditor_->record_decode(0, audit_head_of(lr->req.id), retained,
-                                    lr->audit_predicted, now() - a0);
+            const double retained =
+                audited_decode_retained_mass(weights, lr->plan_stripes, lr->plan_window);
+            auditor_->record_decode(0, audit_head_of(lr->req.id), retained, lr->plan_predicted,
+                                    now() - a0);
             tele_push(obs::TelemetryEventKind::kAudit, lr->req.id, t_done, retained, 1);
           }
         }
@@ -986,23 +941,13 @@ void ServingEngine::loop() {
       tele_push(obs::TelemetryEventKind::kPrefillChunk, lr->req.id, t_done,
                 st.plan_s + kernel_s, static_cast<std::uint32_t>(st.q_hi - st.q_lo));
       emit_timeline(opts_.run_label, lr->req.id, t_done, obs::RequestPhase::kPrefillChunk);
-      if (st.chunk_out) {
-        // Sparse route wrote chunk-local rows; fold them into the request
-        // output.
-        for (Index r = 0; r < st.q_hi - st.q_lo; ++r) {
-          const auto src = st.chunk_out->row(r);
-          std::copy(src.begin(), src.end(), lr->out.row(st.q_lo + r).begin());
-        }
-      }
-      if ((auditor_ || opts_.kv_sparse_residency) && st.plan) {
-        // Remember the accepted plan's structure: the decode-phase shadow
-        // audit scores sampled rows against it, and sparse-residency
-        // eviction keeps exactly its stripes + window at prefill-done.
-        lr->audit_stripes = st.plan->mask.stripe_columns();
-        lr->audit_window = st.plan->mask.window();
-        lr->audit_predicted = st.plan->filter.coverage;
-        lr->audit_has_plan = auditor_ != nullptr;
-        lr->resid_has_plan = true;
+      // The plan record follows this chunk's own outcome, cleared on the
+      // dense rung.
+      lr->has_plan = st.plan && (auditor_ || opts_.kv_sparse_residency);
+      if (lr->has_plan) {
+        lr->plan_stripes = st.plan->mask.stripe_columns();
+        lr->plan_window = st.plan->mask.window();
+        lr->plan_predicted = st.plan->filter.coverage;
       }
       lr->prefilled = st.q_hi;
       if (opts_.past_deadline(t_done - lr->req.arrival_seconds)) {
@@ -1031,9 +976,9 @@ void ServingEngine::loop() {
           // decode row will read keys outside the plan's stripes + local
           // window — free the pages holding only such tokens, so page
           // residency tracks the mask's retained fraction.
-          if (opts_.kv_sparse_residency && lr->resid_has_plan) {
+          if (opts_.kv_sparse_residency && lr->has_plan) {
             const Index dropped =
-                apply_mask_residency(lr->cache, lr->audit_stripes, lr->audit_window);
+                apply_mask_residency(lr->cache, lr->plan_stripes, lr->plan_window);
             if (dropped > 0) {
               ++result_.kv_residency_evictions;
               SATTN_COUNTER_ADD("engine.kv_residency_evictions", 1);

@@ -88,6 +88,10 @@ struct EngineOptions : ServingPolicy {
 
   // kSampleAttention: per-chunk planning config and the guard policy whose
   // escalation ladder (resample -> widen -> dense) runs on measured time.
+  // Each chunk walks escalation_ladder(sample, guard) — the rungs
+  // guarded_sample_attention walks — and always ends on the dense rung, so
+  // the engine ignores guard.allow_dense_fallback (and validate_inputs: its
+  // synthetic inputs are finite by construction).
   SampleAttentionConfig sample;
   GuardConfig guard;
 

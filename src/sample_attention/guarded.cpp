@@ -42,11 +42,10 @@ const char* guard_outcome_name(GuardOutcome outcome) {
   return "unknown";
 }
 
-Status validate_sample_plan(const SamplePlan& plan, const AttentionInput& in,
+Status validate_sample_plan(const SamplePlan& plan, Index sq, Index sk,
                             const SampleAttentionConfig& cfg, const GuardConfig& guard) {
-  SATTN_CHECK(plan.mask.sq() == in.sq() && plan.mask.sk() == in.sk(), kInvalidArgument,
-              "plan mask is ", plan.mask.sq(), "x", plan.mask.sk(), " but input is ", in.sq(),
-              "x", in.sk());
+  SATTN_CHECK(plan.mask.sq() == sq && plan.mask.sk() == sk, kInvalidArgument, "plan mask is ",
+              plan.mask.sq(), "x", plan.mask.sk(), " but input is ", sq, "x", sk);
   SATTN_CHECK(std::isfinite(plan.stage1.total_mass) && plan.stage1.total_mass > 0.0,
               kDataCorruption, "Stage-1 total mass is ", plan.stage1.total_mass);
   SATTN_CHECK(plan.mask.window() >= 1, kFailedPrecondition,
@@ -66,6 +65,25 @@ Status validate_sample_plan(const SamplePlan& plan, const AttentionInput& in,
   return Status::Ok();
 }
 
+std::vector<GuardRung> escalation_ladder(const SampleAttentionConfig& cfg,
+                                         const GuardConfig& guard) {
+  // Each rung strictly raises the retained mass: more sampled rows sharpen
+  // the statistic, a wider window raises the guaranteed diagonal coverage.
+  std::vector<GuardRung> ladder;
+  ladder.push_back({cfg, GuardOutcome::kPrimary});
+  SampleAttentionConfig stepped = cfg;
+  for (Index r = 0; r < guard.max_resamples; ++r) {
+    stepped.row_ratio = std::min(1.0, stepped.row_ratio * guard.resample_factor);
+    stepped.seed += 1;  // a fresh sample, not a replay, under kRandom
+    ladder.push_back({stepped, GuardOutcome::kResampled});
+  }
+  for (Index w = 0; w < guard.max_widens; ++w) {
+    stepped.window_ratio = std::min(1.0, stepped.window_ratio * guard.widen_factor);
+    ladder.push_back({stepped, GuardOutcome::kWidened});
+  }
+  return ladder;
+}
+
 Status guarded_sample_attention(const AttentionInput& in, const SampleAttentionConfig& cfg,
                                 const GuardConfig& guard, Matrix& out, GuardReport* report) {
   SATTN_SPAN("sattn/guarded");
@@ -79,30 +97,10 @@ Status guarded_sample_attention(const AttentionInput& in, const SampleAttentionC
     }
   }
 
-  // The escalation ladder, as (config, outcome) rungs. Each rung strictly
-  // raises the retained mass: more sampled rows sharpen the statistic, a
-  // wider window raises the guaranteed diagonal coverage.
-  struct Rung {
-    SampleAttentionConfig cfg;
-    GuardOutcome outcome;
-  };
-  std::vector<Rung> ladder;
-  ladder.push_back({cfg, GuardOutcome::kPrimary});
-  SampleAttentionConfig stepped = cfg;
-  for (Index r = 0; r < guard.max_resamples; ++r) {
-    stepped.row_ratio = std::min(1.0, stepped.row_ratio * guard.resample_factor);
-    stepped.seed += 1;  // a fresh sample, not a replay, under kRandom
-    ladder.push_back({stepped, GuardOutcome::kResampled});
-  }
-  for (Index w = 0; w < guard.max_widens; ++w) {
-    stepped.window_ratio = std::min(1.0, stepped.window_ratio * guard.widen_factor);
-    ladder.push_back({stepped, GuardOutcome::kWidened});
-  }
-
-  for (const Rung& rung : ladder) {
+  for (const GuardRung& rung : escalation_ladder(cfg, guard)) {
     SamplePlan plan = plan_sample_attention(in, rung.cfg);
     if (guard.plan_hook) guard.plan_hook(plan);
-    const Status verdict = validate_sample_plan(plan, in, rung.cfg, guard);
+    const Status verdict = validate_sample_plan(plan, in.sq(), in.sk(), rung.cfg, guard);
     if (!verdict.ok()) {
       ++rep.plan_rejects;
       rep.last_reject = verdict.to_string();

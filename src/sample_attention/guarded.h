@@ -22,6 +22,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "attention/attention_method.h"
 #include "core/status.h"
@@ -74,10 +75,27 @@ struct GuardReport {
   std::string last_reject;   // why the most recent plan was rejected
 };
 
-// Validates one plan against the guard policy. Exposed for tests and for
-// callers that plan once and execute many times.
-Status validate_sample_plan(const SamplePlan& plan, const AttentionInput& in,
+// Validates one plan, made for an sq x sk attention problem, against the
+// guard policy. Exposed for tests and for callers that plan once and
+// execute many times.
+Status validate_sample_plan(const SamplePlan& plan, Index sq, Index sk,
                             const SampleAttentionConfig& cfg, const GuardConfig& guard);
+
+// One sparse rung of the escalation ladder: the planner config to try, and
+// the outcome reported when its plan is accepted.
+struct GuardRung {
+  SampleAttentionConfig cfg;
+  GuardOutcome outcome;
+};
+
+// The sparse rungs for `cfg`, primary first: max_resamples rungs that each
+// multiply row_ratio by resample_factor and bump seed (a fresh sample, not
+// a replay, under kRandom), then max_widens rungs that each multiply
+// window_ratio by widen_factor; both ratios clamp at 1.0. The dense rung is
+// not listed: guarded_sample_attention and the serving engine both walk
+// these rungs and end on it.
+std::vector<GuardRung> escalation_ladder(const SampleAttentionConfig& cfg,
+                                         const GuardConfig& guard);
 
 // Guarded pipeline: validate -> plan -> escalate -> execute. On success
 // `out` holds the attention output and `report` (if given) says which rung

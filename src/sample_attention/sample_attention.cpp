@@ -10,14 +10,18 @@
 namespace sattn {
 
 SamplePlan plan_sample_attention(const AttentionInput& in, const SampleAttentionConfig& cfg) {
-  SATTN_SPAN("sattn/plan");
-  const Index sq = in.sq(), sk = in.sk();
+  return plan_sample_attention(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), cfg);
+}
 
+SamplePlan plan_sample_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                 const SampleAttentionConfig& cfg) {
+  SATTN_SPAN("sattn/plan");
   const Index window = window_width_from_ratio(sk, cfg.window_ratio);
 
   // Stage-1: query-guided attention sampling. The window region is tallied
   // separately — it is guaranteed by the merged window mask.
-  SampleStats stage1 = sample_column_weights(in, cfg.row_ratio, cfg.sampling, window, cfg.seed);
+  SampleStats stage1 =
+      sample_column_weights(q, sq, kv, sk, cfg.row_ratio, cfg.sampling, window, cfg.seed);
 
   // Stage-2: score-based key-value filtering over the residual statistic.
   FilterConfig fcfg;

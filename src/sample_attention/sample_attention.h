@@ -51,6 +51,14 @@ struct SamplePlan {
 };
 
 // Runs Stage-1 + Stage-2 + merge, without executing the kernel.
+//
+// View form: q holds sq contiguous rows of kv.d floats and keys are [0, sk)
+// of the (flat or paged) view, with row i's causal limit at i + sk - sq — a
+// prefill chunk [q_lo, q_hi) of a longer prompt is planned in place, with
+// no copy of its K/V prefix. The tensor overload forwards with
+// mk::KvView::of(in).
+SamplePlan plan_sample_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                 const SampleAttentionConfig& cfg);
 SamplePlan plan_sample_attention(const AttentionInput& in, const SampleAttentionConfig& cfg);
 
 // Full pipeline: plan + sparse kernel.

@@ -40,8 +40,15 @@ std::vector<Index> pick_rows(Index sq, double row_ratio, SamplingPolicy policy,
 SampleStats sample_column_weights(const AttentionInput& in, double row_ratio,
                                   SamplingPolicy policy, Index exclude_window,
                                   std::uint64_t rng_seed) {
+  return sample_column_weights(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), row_ratio,
+                               policy, exclude_window, rng_seed);
+}
+
+SampleStats sample_column_weights(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                  double row_ratio, SamplingPolicy policy, Index exclude_window,
+                                  std::uint64_t rng_seed) {
   SATTN_SPAN("sattn/stage1_sampling");
-  const Index sq = in.sq(), sk = in.sk();
+  const Index d = kv.d;
   SampleStats st;
   st.sampled_rows = pick_rows(sq, row_ratio, policy, rng_seed);
   SATTN_COUNTER_ADD("sattn.sampled_rows", st.sampled_rows.size());
@@ -50,7 +57,7 @@ SampleStats sample_column_weights(const AttentionInput& in, double row_ratio,
   st.distance_bucket_width = std::max<Index>(1, (sk + SampleStats::kDistanceBuckets - 1) /
                                                     SampleStats::kDistanceBuckets);
   st.distance_hist.assign(SampleStats::kDistanceBuckets, 0.0);
-  for_each_score_row(in, st.sampled_rows, [&](Index i, std::span<const float> p) {
+  for_each_score_row(q, sq, kv, sk, st.sampled_rows, [&](Index i, std::span<const float> p) {
     const Index lim = causal_limit(i, sq, sk);
     const Index win_lo =
         exclude_window > 0 ? std::max<Index>(0, lim - exclude_window + 1) : lim + 1;
@@ -89,10 +96,10 @@ SampleStats sample_column_weights(const AttentionInput& in, double row_ratio,
   // Stage-1 work: score rows only (2d flops per eval, no PV). Bytes: the
   // sampled Q rows, the K stream, and the column-weight accumulator.
   obs::charge_stage(
-      "sampling", 2.0 * static_cast<double>(in.head_dim()) * st.score_evals,
+      "sampling", 2.0 * static_cast<double>(d) * st.score_evals,
       obs::kAcctBytesPerElement *
-          (static_cast<double>(st.sampled_rows.size()) * static_cast<double>(in.head_dim()) +
-           static_cast<double>(in.head_dim()) * st.score_evals + static_cast<double>(sk)));
+          (static_cast<double>(st.sampled_rows.size()) * static_cast<double>(d) +
+           static_cast<double>(d) * st.score_evals + static_cast<double>(sk)));
   return st;
 }
 

@@ -20,6 +20,7 @@
 
 #include <vector>
 
+#include "attention/microkernel.h"
 #include "core/tensor.h"
 
 namespace sattn {
@@ -50,6 +51,15 @@ struct SampleStats {
 // Entries within `exclude_window` keys of each sampled row's causal limit
 // are tallied into window_mass instead of column_weight. `rng_seed` is only
 // used by kRandom.
+//
+// View form: q holds sq contiguous rows of kv.d floats, keys are [0, sk) of
+// the (flat or paged) view; row i's causal limit is i + sk - sq, so a
+// prefill chunk is planned where its K/V lives. The tensor overload
+// forwards with mk::KvView::of(in).
+SampleStats sample_column_weights(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                  double row_ratio,
+                                  SamplingPolicy policy = SamplingPolicy::kStride,
+                                  Index exclude_window = 0, std::uint64_t rng_seed = 0);
 SampleStats sample_column_weights(const AttentionInput& in, double row_ratio,
                                   SamplingPolicy policy = SamplingPolicy::kStride,
                                   Index exclude_window = 0, std::uint64_t rng_seed = 0);

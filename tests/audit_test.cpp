@@ -31,6 +31,15 @@ using obs::AuditOptions;
 using obs::AuditResult;
 using obs::QualityAuditor;
 
+// Audits a tensor-shaped chunk: query rows [q_lo, q_lo + in.sq()) of a
+// request against keys [0, in.sk()).
+AuditResult audit_tensor(QualityAuditor& aud, std::string_view id, const AttentionInput& in,
+                         const StructuredMask& mask, Index q_lo, long long layer, long long head,
+                         double predicted) {
+  return aud.audit_chunk(id, in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), mask, q_lo,
+                         layer, head, predicted);
+}
+
 AttentionInput random_input(Index sq, Index sk, Index d, std::uint64_t seed) {
   AttentionInput in;
   Rng rng(seed);
@@ -116,7 +125,7 @@ TEST(AuditParityTest, FullRateAuditEqualsOfflineCraExactly) {
   const AttentionInput in = random_input(s, s, 16, 0xc0ffee);
   const StructuredMask mask = sparse_mask(s, s);
   QualityAuditor aud(full_audit());
-  const AuditResult res = aud.audit_chunk("parity", in, mask, /*q_lo=*/0, 0, 0, 0.95);
+  const AuditResult res = audit_tensor(aud, "parity", in, mask, /*q_lo=*/0, 0, 0, 0.95);
   ASSERT_EQ(res.rows, s);
   const std::vector<Index> rows = all_rows(s);
   // Same rows, same score path, same retained-mass accumulation: the online
@@ -132,7 +141,7 @@ TEST(AuditParityTest, FullyDenseMaskAuditsToOne) {
   StructuredMask full1(1, 1);
   full1.set_window(1);
   QualityAuditor aud(full_audit());
-  const AuditResult r1 = aud.audit_chunk("dense1", one, full1, 0, 0, 0, 1.0);
+  const AuditResult r1 = audit_tensor(aud, "dense1", one, full1, 0, 0, 0, 1.0);
   ASSERT_EQ(r1.rows, 1);
   EXPECT_DOUBLE_EQ(r1.cra_min, 1.0);
 
@@ -143,7 +152,7 @@ TEST(AuditParityTest, FullyDenseMaskAuditsToOne) {
   StructuredMask full(s, s);
   full.set_window(s);
   QualityAuditor aud2(full_audit());
-  const AuditResult r = aud2.audit_chunk("dense", in, full, 0, 0, 0, 1.0);
+  const AuditResult r = audit_tensor(aud2, "dense", in, full, 0, 0, 0, 1.0);
   ASSERT_EQ(r.rows, s);
   EXPECT_NEAR(r.cra_min, 1.0, 1e-5);
 }
@@ -156,7 +165,7 @@ TEST(AuditParityTest, MinEstimateIsMonotoneNonIncreasingInSampleRate) {
     AuditOptions opts = full_audit();
     opts.sample_rate = rate;
     QualityAuditor aud(opts);
-    return aud.audit_chunk("mono", in, mask, 0, 0, 0, 0.95).cra_min;
+    return audit_tensor(aud, "mono", in, mask, 0, 0, 0, 0.95).cra_min;
   };
   const double e10 = estimate(0.1);
   const double e50 = estimate(0.5);
@@ -175,13 +184,13 @@ TEST(AuditParityTest, RowBudgetCapsWorkAndKeepsEstimateAboveExact) {
   AuditOptions capped = full_audit();
   capped.row_budget = 4;
   QualityAuditor aud(capped), aud2(capped);
-  const AuditResult res = aud.audit_chunk("budget", in, mask, 0, 0, 0, 0.95);
+  const AuditResult res = audit_tensor(aud, "budget", in, mask, 0, 0, 0, 0.95);
   EXPECT_EQ(res.rows, 4);
   // Budgeted rows are the lowest-hash subset: deterministic, and a subset's
   // min is never below the full set's min.
-  EXPECT_DOUBLE_EQ(res.cra_min, aud2.audit_chunk("budget", in, mask, 0, 0, 0, 0.95).cra_min);
+  EXPECT_DOUBLE_EQ(res.cra_min, audit_tensor(aud2, "budget", in, mask, 0, 0, 0, 0.95).cra_min);
   QualityAuditor uncapped(full_audit());
-  EXPECT_GE(res.cra_min, uncapped.audit_chunk("budget", in, mask, 0, 0, 0, 0.95).cra_min);
+  EXPECT_GE(res.cra_min, audit_tensor(uncapped, "budget", in, mask, 0, 0, 0, 0.95).cra_min);
 }
 
 // ---------------------------------------------------------------------------

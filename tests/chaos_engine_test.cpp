@@ -557,7 +557,6 @@ TEST(ChaosEviction, CompactedCacheKeepsSweepBitIdenticalToDirectKernels) {
 
     RaggedBatchView batch;
     RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = q.data();
     seq.rows = 1;
     seq.kv = kv;

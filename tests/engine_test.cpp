@@ -2,8 +2,8 @@
 // the ragged-sequence batched kernel API (runtime/batch.h).
 //
 // The parity suite pins the batch contract: ragged_attention_sweep is pure
-// scheduling — for every route the batched output is bit-identical to the
-// per-request kernel run alone. The engine suite pins the serving
+// scheduling — for every sequence the batched output is bit-identical to
+// its kernel run alone. The engine suite pins the serving
 // contracts: thread-safe admission, deterministic batch formation, the
 // measured TTFT attribution invariant across a live batch, and the
 // degrade/retry guardrails firing on measured time.
@@ -15,7 +15,6 @@
 #include <thread>
 #include <vector>
 
-#include "attention/block_sparse.h"
 #include "attention/flash_attention.h"
 #include "attention/sparse_flash_attention.h"
 #include "core/rng.h"
@@ -71,7 +70,6 @@ TEST(RaggedBatch, DenseRouteMatchesFlashAttentionBitExact) {
     flash_attention(ins[i], ref[i]);
     got[i].resize(sizes[i], d);
     RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = ins[i].q.data();
     seq.rows = sizes[i];
     seq.kv = mk::KvView::of(ins[i]);
@@ -99,7 +97,6 @@ TEST(RaggedBatch, ChunkedPrefillMatchesFullFlashBitExact) {
     const Index q_hi = std::min(s, q_lo + chunk);
     RaggedBatchView batch;
     RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = in.q.row(q_lo).data();
     seq.rows = q_hi - q_lo;
     seq.kv = mk::KvView::of(in);
@@ -112,60 +109,82 @@ TEST(RaggedBatch, ChunkedPrefillMatchesFullFlashBitExact) {
   expect_bit_identical(ref, got, "chunked prefill");
 }
 
-TEST(RaggedBatch, SparseAndBlockRoutesMatchStructuredKernelsBitExact) {
-  const Index s = 256, d = 32;
+TEST(RaggedBatch, MaskedPagedChunkAndDenseSeqMatchDirectKernelsBitExact) {
+  // One mixed batch: a SampleAttention chunk planned mid-prompt and read
+  // through a KVCache's page table, plus a dense sequence. The sparse
+  // kernel's internal parallel_for runs inline on the pool worker
+  // (re-entrant parallel_for), and each output still matches its kernel
+  // run alone on flat storage, bit for bit. The block-sparse kernel's view
+  // parity is pinned in kv_page_test.
+  const Index s = 320, d = 32, q_lo = 100, q_hi = 228;  // page-unaligned chunk
+  const Index rows = q_hi - q_lo;
   AttentionInput in = random_input(s, s, d, 11);
-  SampleAttentionConfig cfg;
-  const SamplePlan plan = plan_sample_attention(in, cfg);
-  const BlockSparseLayout layout = BlockSparseLayout::from_mask(plan.mask, 64);
+  KVCache cache(d, std::make_shared<KvPageArena>(d, /*page_tokens=*/64));
+  ASSERT_TRUE(cache.append_prefill(in).ok());
+  const mk::KvView paged = cache.view();
+  ASSERT_TRUE(paged.paged());
+  const float* q = in.q.row(q_lo).data();
+  const SamplePlan plan = plan_sample_attention(q, rows, paged, q_hi, SampleAttentionConfig{});
 
-  Matrix ref_sparse, ref_block;
-  sparse_flash_attention(in, plan.mask, ref_sparse);
-  block_sparse_attention(in, layout, ref_block);
+  // The direct kernel over the materialized chunk: rows [q_lo, q_hi)
+  // against keys [0, q_hi).
+  AttentionInput chunk;
+  chunk.q.resize(rows, d);
+  chunk.k.resize(q_hi, d);
+  chunk.v.resize(q_hi, d);
+  std::copy(q, q + rows * d, chunk.q.data());
+  std::copy(in.k.data(), in.k.data() + q_hi * d, chunk.k.data());
+  std::copy(in.v.data(), in.v.data() + q_hi * d, chunk.v.data());
+  Matrix ref_sparse;
+  sparse_flash_attention(chunk, plan.mask, ref_sparse);
 
-  // Both structured routes plus a dense sequence in ONE batch: the
-  // structured kernels' internal parallel_for must run inline on the pool
-  // worker (re-entrant parallel_for) and still produce identical bits.
   AttentionInput dense_in = random_input(128, 128, d, 12);
   Matrix ref_dense;
   flash_attention(dense_in, ref_dense);
 
-  Matrix got_sparse, got_block, got_dense(128, d);
+  obs::AuditOptions aopts;
+  aopts.enabled = true;
+  aopts.sample_rate = 1.0;
+  aopts.row_budget = 0;
+  obs::QualityAuditor auditor(aopts);
+
+  Matrix got_sparse(rows, d), got_dense(128, d);
   RaggedBatchView batch;
   {
     RaggedSeq seq;
-    seq.route = SeqRoute::kSparse;
-    seq.chunk = &in;
+    seq.request_id = "masked";
+    seq.q = q;
+    seq.rows = rows;
+    seq.kv = paged;
+    seq.k_hi = q_hi;
+    seq.causal_off = q_lo;
+    seq.out = got_sparse.data();
     seq.mask = &plan.mask;
-    seq.out_mat = &got_sparse;
+    seq.auditor = &auditor;
+    seq.audit_q_lo = q_lo;
     batch.seqs.push_back(seq);
   }
   {
     RaggedSeq seq;
-    seq.route = SeqRoute::kBlockSparse;
-    seq.chunk = &in;
-    seq.layout = &layout;
-    seq.out_mat = &got_block;
-    batch.seqs.push_back(seq);
-  }
-  {
-    RaggedSeq seq;
-    seq.route = SeqRoute::kDense;
     seq.q = dense_in.q.data();
     seq.rows = 128;
     seq.kv = mk::KvView::of(dense_in);
     seq.k_hi = 128;
     seq.causal_off = 0;
     seq.out = got_dense.data();
+    seq.auditor = &auditor;  // unmasked: nothing to audit
     batch.seqs.push_back(seq);
   }
   const std::vector<SeqCost> costs = ragged_attention_sweep(batch);
-  ASSERT_EQ(costs.size(), 3u);
+  ASSERT_EQ(costs.size(), 2u);
   for (const SeqCost& c : costs) EXPECT_GE(c.seconds, 0.0);
 
-  expect_bit_identical(ref_sparse, got_sparse, "sparse seq");
-  expect_bit_identical(ref_block, got_block, "block-sparse seq");
+  expect_bit_identical(ref_sparse, got_sparse, "masked paged chunk");
   expect_bit_identical(ref_dense, got_dense, "dense seq in mixed batch");
+  // The sweep audits every masked sequence, whatever its K/V storage, and
+  // nothing else.
+  EXPECT_EQ(costs[0].audit.rows, rows);
+  EXPECT_EQ(costs[1].audit.rows, 0);
 }
 
 TEST(RaggedBatch, DecodeStepAgainstKvCacheMatchesDirectFlashRows) {
@@ -181,7 +200,6 @@ TEST(RaggedBatch, DecodeStepAgainstKvCacheMatchesDirectFlashRows) {
 
   RaggedBatchView batch;
   RaggedSeq seq;
-  seq.route = SeqRoute::kDense;
   seq.q = q.data();
   seq.rows = 1;
   seq.kv = kv;
@@ -257,13 +275,13 @@ class EngineObs : public ::testing::Test {
     obs::Collector::global().reset();
     obs::MetricsRegistry::global().reset();
   }
-
-  static double counter_value(const std::string& name) {
-    for (const obs::CounterValue& cv : obs::Collector::global().counters())
-      if (cv.name == name) return cv.value;
-    return 0.0;
-  }
 };
+
+double counter_value(const std::string& name) {
+  for (const obs::CounterValue& cv : obs::Collector::global().counters())
+    if (cv.name == name) return cv.value;
+  return 0.0;
+}
 
 EngineOptions small_engine() {
   EngineOptions opts;
@@ -430,16 +448,16 @@ TEST(ServingEngineTest, AdmissionAndOversizedSheddingAtTheDoor) {
 }
 
 TEST_F(EngineObs, SampleModeEscalationLadderFallsBackToDenseOnPlanFaults) {
-  // Every plan the engine produces is corrupted (stripes emptied), so
-  // validation rejects rung after rung — resample, widen — until the dense
-  // fallback serves the chunk. Rejected attempts bill to guard.
+  // Every plan the engine produces loses its local window, so validation
+  // rejects rung after rung — primary, two resamples, two widens — until
+  // the dense rung serves the chunk. Rejected attempts bill to guard.
   EngineOptions opts = small_engine();
   opts.mode = EngineMode::kSampleAttention;
   opts.chunk_tokens = 256;
   opts.decode_tokens = 0;
-  auto injector = std::make_shared<FaultInjector>(
-      FaultSpec{FaultClass::kPlanEmptyStripes, 1.0, 0x9ull, /*max_fires=*/-1});
-  opts.guard.plan_hook = [injector](SamplePlan& plan) { injector->corrupt_plan(plan); };
+  opts.guard.max_resamples = 2;
+  opts.guard.max_widens = 2;
+  opts.guard.plan_hook = [](SamplePlan& plan) { plan.mask.set_window(0); };
   ServingEngine engine(opts);
   std::vector<ServingRequest> trace = {{"s0", 256, 0.0}};
   const EngineResult res = engine.run_trace(trace);
@@ -448,8 +466,9 @@ TEST_F(EngineObs, SampleModeEscalationLadderFallsBackToDenseOnPlanFaults) {
   const CompletedRequest& c = res.completed[0].base;
   EXPECT_GT(c.guard_seconds, 0.0);  // rejected plan attempts
   EXPECT_NEAR(c.queue_seconds + c.compute_seconds + c.guard_seconds, c.ttft(), 1e-9);
-  EXPECT_GE(counter_value("engine.plan_rejects"), 2.0);
-  EXPECT_GE(counter_value("engine.dense_fallbacks"), 1.0);
+  // One chunk walks the whole escalation_ladder: 1 + 2 + 2 rungs.
+  EXPECT_EQ(counter_value("engine.plan_rejects"), 5.0);
+  EXPECT_EQ(counter_value("engine.dense_fallbacks"), 1.0);
 }
 
 TEST(ServingEngineTest, SubmitAfterCloseIsRejectedWithoutATerminalState) {
@@ -549,6 +568,39 @@ TEST(ServingEngineTest, SparseResidencyRetainsFewerPagesThanDense) {
                             static_cast<double>(res.kv_pages_full);
   EXPECT_GT(page_ratio, 0.0);
   EXPECT_LT(page_ratio, 1.0);
+}
+
+TEST(ServingEngineTest, DenseFallbackOnLastChunkSkipsResidencyEviction) {
+  // The first 256-token chunk's plan is accepted; every later chunk's plan
+  // (mask.sk() > 256) loses its stripes, exhausts the ladder and runs on
+  // the dense rung. The plan record follows the last chunk, so residency
+  // eviction must not act on the first chunk's stripes, which span only
+  // keys [0, 256).
+  obs::Collector::global().reset();
+  ASSERT_TRUE(obs::set_enabled(true)) << "SATTN_TRACE=0 in the test environment";
+  EngineOptions opts = small_engine();
+  opts.mode = EngineMode::kSampleAttention;
+  opts.chunk_tokens = 256;
+  opts.decode_tokens = 2;
+  opts.kv_sparse_residency = true;
+  opts.kv_prefix_cache = false;  // published pages would pin the index
+  auto injector = std::make_shared<FaultInjector>(
+      FaultSpec{FaultClass::kPlanEmptyStripes, 1.0, 0x9ull, /*max_fires=*/-1});
+  opts.guard.plan_hook = [injector](SamplePlan& plan) {
+    if (plan.mask.sk() > 256) injector->corrupt_plan(plan);
+  };
+  ServingEngine engine(opts);
+  const std::vector<ServingRequest> trace = {{"r0", 1024, 0.0}};
+  const EngineResult res = engine.run_trace(trace);
+  const double fallbacks = counter_value("engine.dense_fallbacks");
+  obs::set_enabled(false);
+  obs::Collector::global().reset();
+
+  ASSERT_EQ(res.completed.size(), 1u);
+  EXPECT_GE(fallbacks, 3.0);
+  EXPECT_EQ(res.kv_residency_evictions, 0);
+  EXPECT_GT(res.kv_pages_full, 0);
+  EXPECT_EQ(res.kv_pages_resident, res.kv_pages_full);
 }
 
 TEST(ServingEngineTest, SampleModeServesCleanPlansWithoutEscalation) {

@@ -2,8 +2,8 @@
 // (runtime/kv_cache.h): refcount/freelist correctness, page-granular
 // eviction, copy-on-write divergence after a shared prefix, counted-once
 // byte accounting, the content-hash prefix index, and — the load-bearing
-// contract — bit-identical kernel reads through the page table for all
-// three ragged-sweep routes plus decode.
+// contract — bit-identical kernel reads through the page table for the
+// dense, sparse and block-sparse kernels plus decode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,7 +198,7 @@ TEST(PagedKvCache, MaskResidencyKeepsStripesAndWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel parity: every route reads the page table bit-identically to flat
+// Kernel parity: every kernel reads the page table bit-identically to flat
 // storage.
 
 TEST(PagedKvCache, AllSweepRoutesBitIdenticalThroughPageTable) {
@@ -223,9 +223,9 @@ TEST(PagedKvCache, AllSweepRoutesBitIdenticalThroughPageTable) {
   SampleAttentionConfig cfg;
   const SamplePlan plan = plan_sample_attention(in, cfg);
   {
-    Matrix ref, got;
+    Matrix ref, got(s, d);
     sparse_flash_attention(in, plan.mask, ref);
-    sparse_flash_attention(in.q.data(), s, paged, s, plan.mask, got);
+    sparse_flash_attention(in.q.data(), s, paged, s, plan.mask, got.data());
     expect_bit_identical(ref, got, "sparse route");
   }
 

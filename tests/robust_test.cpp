@@ -155,6 +155,34 @@ TEST(Guarded, FallbackDisabledIsUnavailableNotCrash) {
   EXPECT_FALSE(report.last_reject.empty());
 }
 
+TEST(GuardLadder, RungsClampAndReseed) {
+  // One ladder serves guarded_sample_attention and the serving engine. From
+  // row_ratio 0.6 and window_ratio 0.7 a factor of 2 overshoots on every
+  // rung: each ratio clamps at 1.0, and each resample bumps the seed.
+  SampleAttentionConfig cfg;
+  cfg.row_ratio = 0.6;
+  cfg.window_ratio = 0.7;
+  cfg.seed = 10;
+  GuardConfig guard;
+  guard.max_resamples = 2;
+  guard.max_widens = 2;
+  const std::vector<GuardRung> ladder = escalation_ladder(cfg, guard);
+  ASSERT_EQ(ladder.size(), 5u);
+  const GuardOutcome outcome[] = {GuardOutcome::kPrimary, GuardOutcome::kResampled,
+                                  GuardOutcome::kResampled, GuardOutcome::kWidened,
+                                  GuardOutcome::kWidened};
+  const double row_ratio[] = {0.6, 1.0, 1.0, 1.0, 1.0};
+  const double window_ratio[] = {0.7, 0.7, 0.7, 1.0, 1.0};
+  const std::uint64_t seed[] = {10, 11, 12, 12, 12};
+  for (std::size_t r = 0; r < ladder.size(); ++r) {
+    EXPECT_EQ(ladder[r].outcome, outcome[r]) << "rung " << r;
+    EXPECT_EQ(ladder[r].cfg.row_ratio, row_ratio[r]) << "rung " << r;
+    EXPECT_EQ(ladder[r].cfg.window_ratio, window_ratio[r]) << "rung " << r;
+    EXPECT_EQ(ladder[r].cfg.seed, seed[r]) << "rung " << r;
+    EXPECT_EQ(ladder[r].cfg.alpha, cfg.alpha) << "rung " << r;
+  }
+}
+
 // The satellite property test: every fault class, clean error OR recovery
 // within tolerance of dense attention on the same input.
 TEST(Guarded, PropertyEveryFaultClassErrorsCleanlyOrRecovers) {

@@ -2,15 +2,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "attention/attention_method.h"
 #include "attention/microkernel.h"
 #include "attention/score_utils.h"
 #include "core/numerics.h"
 #include "core/rng.h"
+#include "core/simd.h"
 #include "model/synthetic_model.h"
 #include "model/workload.h"
+#include "obs/audit.h"
+#include "runtime/kv_cache.h"
+#include "sample_attention/sample_attention.h"
 #include "sample_attention/sampling.h"
 
 namespace sattn {
@@ -142,7 +149,7 @@ TEST(SampleColumnWeights, BitIdenticalToSerialBlockedReference) {
       rows[r] = st.sampled_rows[static_cast<std::size_t>(c + r)];
       out[r] = buf.data() + static_cast<std::size_t>(r * s);
     }
-    mk::logits_rows(in, rows, nr, out);
+    mk::logits_rows(in.q.data(), s, mk::KvView::of(in), s, rows, nr, out);
     for (Index r = 0; r < nr; ++r) {
       const Index lim = causal_limit(rows[r], s, s);
       softmax_prefix_inplace(std::span<float>(out[r], static_cast<std::size_t>(s)), lim + 1);
@@ -205,6 +212,91 @@ TEST_P(SamplingApproxProperty, SampledTopColumnsOverlapExactTopColumns) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SamplingApproxProperty, ::testing::Range(1, 9));
+
+// ---------------------------------------------------------------------------
+// Planning in place: the view-form planner and auditor read a prefill chunk
+// where its Q/K/V live — a prompt's flat tensors or a KVCache's page table —
+// and must match the tensor form on the materialized chunk in every field,
+// bit for bit.
+
+// Query rows [q_lo, q_hi) of `in` against keys [0, q_hi), copied out.
+AttentionInput materialize_chunk(const AttentionInput& in, Index q_lo, Index q_hi) {
+  const Index d = in.head_dim();
+  AttentionInput chunk;
+  chunk.q.resize(q_hi - q_lo, d);
+  chunk.k.resize(q_hi, d);
+  chunk.v.resize(q_hi, d);
+  std::copy(in.q.row(q_lo).data(), in.q.row(q_lo).data() + (q_hi - q_lo) * d, chunk.q.data());
+  std::copy(in.k.data(), in.k.data() + q_hi * d, chunk.k.data());
+  std::copy(in.v.data(), in.v.data() + q_hi * d, chunk.v.data());
+  return chunk;
+}
+
+void expect_same_plan(const SamplePlan& got, const SamplePlan& want, const std::string& what) {
+  EXPECT_EQ(got.mask.sq(), want.mask.sq()) << what;
+  EXPECT_EQ(got.mask.sk(), want.mask.sk()) << what;
+  EXPECT_EQ(got.mask.window(), want.mask.window()) << what;
+  EXPECT_EQ(got.mask.stripe_columns(), want.mask.stripe_columns()) << what;
+  EXPECT_TRUE(got.mask.diagonal_bands() == want.mask.diagonal_bands()) << what;
+  EXPECT_EQ(got.mask.density(), want.mask.density()) << what;
+  EXPECT_EQ(got.density, want.density) << what;
+  EXPECT_EQ(got.overhead_fraction, want.overhead_fraction) << what;
+  EXPECT_EQ(got.filter.kv_indices, want.filter.kv_indices) << what;
+  EXPECT_EQ(got.filter.coverage, want.filter.coverage) << what;
+  EXPECT_EQ(got.stage1.sampled_rows, want.stage1.sampled_rows) << what;
+  EXPECT_EQ(got.stage1.column_weight, want.stage1.column_weight) << what;
+  EXPECT_EQ(got.stage1.total_mass, want.stage1.total_mass) << what;
+  EXPECT_EQ(got.stage1.window_mass, want.stage1.window_mass) << what;
+  EXPECT_EQ(got.stage1.score_evals, want.stage1.score_evals) << what;
+  EXPECT_EQ(got.stage1.distance_hist, want.stage1.distance_hist) << what;
+}
+
+TEST(PlanInPlace, ChunkViewsPlanAndAuditBitIdenticalToMaterializedChunk) {
+  const Index s = 1024, page_tokens = 64;
+  const AttentionInput in = generate_attention(chatglm2_6b(), plain_prompt(5, s), 3, 5);
+  const Index d = in.head_dim();
+  KVCache cache(d, std::make_shared<KvPageArena>(d, page_tokens));
+  ASSERT_TRUE(cache.append_prefill(in).ok());
+  const mk::KvView flat = mk::KvView::of(in), paged = cache.view();
+  ASSERT_TRUE(paged.paged());
+  SampleAttentionConfig cfg;
+  cfg.detect_diagonals = true;  // the distance histogram shapes the mask too
+  obs::AuditOptions aopts;
+  aopts.enabled = true;
+  aopts.sample_rate = 1.0;
+  aopts.row_budget = 0;
+
+  for (const bool scalar : {false, true}) {
+    std::optional<simd::ScopedForceScalar> force;
+    if (scalar) force.emplace();
+    // Prompt start, mid-prompt on a page boundary, mid-prompt off one.
+    for (const Index q_lo : {Index{0}, Index{512}, Index{300}}) {
+      for (const Index rows : {Index{1}, Index{3}, Index{256}}) {
+        const Index q_hi = q_lo + rows;
+        const AttentionInput chunk = materialize_chunk(in, q_lo, q_hi);
+        const SamplePlan want = plan_sample_attention(chunk, cfg);
+        obs::QualityAuditor want_aud(aopts);
+        const obs::AuditResult want_audit =
+            want_aud.audit_chunk("chunk", chunk.q.data(), rows, mk::KvView::of(chunk), q_hi,
+                                 want.mask, q_lo, 0, 0, want.filter.coverage);
+        ASSERT_EQ(want_audit.rows, rows);
+        for (const auto& [layout, kv] : {std::pair{"flat", flat}, std::pair{"paged", paged}}) {
+          const std::string what = std::string(scalar ? "scalar " : "dispatched ") + layout +
+                                   " q_lo=" + std::to_string(q_lo) +
+                                   " rows=" + std::to_string(rows);
+          const float* q = in.q.row(q_lo).data();
+          expect_same_plan(plan_sample_attention(q, rows, kv, q_hi, cfg), want, what);
+          obs::QualityAuditor aud(aopts);
+          const obs::AuditResult got = aud.audit_chunk("chunk", q, rows, kv, q_hi, want.mask,
+                                                       q_lo, 0, 0, want.filter.coverage);
+          EXPECT_EQ(got.rows, want_audit.rows) << what;
+          EXPECT_EQ(got.cra_min, want_audit.cra_min) << what;
+          EXPECT_EQ(got.cra_mean, want_audit.cra_mean) << what;
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace sattn

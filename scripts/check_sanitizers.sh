@@ -6,7 +6,8 @@
 #  1b. The kernel-heavy suites again under ASan+UBSan, once per SIMD
 #      backend: simd_kernel_test, attention_test, sparse_kernel_test,
 #      block_sparse_test, sampling_test (Stage-1 reads K through
-#      mk::KvView), engine_test's RaggedBatch parity, chaos_engine_test,
+#      mk::KvView), runtime_test's ChunkedPrefill suite (chunks run in
+#      place), engine_test's RaggedBatch parity, chaos_engine_test,
 #      kv_page_test and audit_test.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
 #      the concurrency-heavy binaries — core_test, sparse_kernel_test,
@@ -59,6 +60,9 @@ for mode in 1 0; do
   # Stage-1 reads K through mk::KvView: planning a chunk in place (flat or
   # paged) must equal planning the materialized chunk on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/sampling_test"
+  # Chunked prefill runs each chunk in place (flash and SampleAttention over
+  # mk::KvView::of(in)): bit-identical to materialized chunks on both backends.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/runtime_test" --gtest_filter='ChunkedPrefill.*'
   # Ragged-batch parity must hold bit-exactly on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" --gtest_filter='RaggedBatch.*'
   # Chaos harness: eviction-compacted caches must keep the sweep

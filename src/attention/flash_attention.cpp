@@ -64,11 +64,15 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
 }
 
 void flash_attention(const AttentionInput& in, Matrix& out, const FlashConfig& cfg) {
-  const Index sq = in.sq(), sk = in.sk(), d = in.head_dim();
+  out.resize(in.sq(), in.head_dim());
+  flash_attention(in.q.data(), in.sq(), mk::KvView::of(in), in.sk(), out.data(), cfg);
+}
+
+void flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk, float* out,
+                     const FlashConfig& cfg) {
   assert(cfg.tile_q > 0 && cfg.tile_k > 0);
   SATTN_SPAN("kernel/flash");
-  out.resize(sq, d);
-  const mk::KvView kv = mk::KvView::of(in);
+  const Index d = kv.d;
   const Index off = sk - sq;  // causal_limit(i, sq, sk) == i + off
   // Measured score-eval tally: accumulated per q-tile in a plain local and
   // folded into one atomic add per tile, then charged on the calling thread
@@ -79,8 +83,9 @@ void flash_attention(const AttentionInput& in, Matrix& out, const FlashConfig& c
   parallel_for(n_qtiles, [&](Index qt) {
     const Index q_lo = qt * cfg.tile_q;
     const Index q_hi = std::min(sq, q_lo + cfg.tile_q);
-    const double tile_evals = flash_rows(in.q.row(q_lo).data(), q_hi - q_lo, kv, sk, q_lo + off,
-                                         out.row(q_lo).data(), d, cfg);
+    const auto row = static_cast<std::size_t>(q_lo) * static_cast<std::size_t>(d);
+    const double tile_evals =
+        flash_rows(q + row, q_hi - q_lo, kv, sk, q_lo + off, out + row, d, cfg);
     evals_total.fetch_add(tile_evals, std::memory_order_relaxed);
   });
   // No score traffic: tile logits never leave the tile-local buffer (the

@@ -28,6 +28,16 @@ struct FlashConfig {
 
 void flash_attention(const AttentionInput& in, Matrix& out, const FlashConfig& cfg = {});
 
+// View form: q holds sq contiguous rows of kv.d floats, keys/values are
+// [0, sk) of the (flat or paged) view with row i's causal limit at
+// i + sk - sq, and the sq output rows land at out + i*kv.d (contiguous) — a
+// prefill chunk [q_lo, q_hi) of a longer prompt runs in place, with no copy
+// of its K/V prefix. Parallel over q-tiles; the tensor overload above
+// resizes out and forwards with mk::KvView::of(in), so both are
+// bit-identical by construction.
+void flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk, float* out,
+                     const FlashConfig& cfg = {});
+
 // The tiled sweep itself, decoupled from AttentionInput: exact attention of
 // `rows` query rows starting at `q` (contiguous, row stride kv.d) against
 // keys/values [0, k_hi) of `kv`. Row r attends keys [0, min(k_hi,

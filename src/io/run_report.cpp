@@ -278,9 +278,9 @@ JsonValue kv_json(const BenchReport& b) {
 }
 
 // Derived view (v2): per-request timelines from the `timeline.<request>`
-// series the engine emits — phase-coded (obs::RequestPhase) lifecycle
-// events, submit through terminal state, rendered with their names so the
-// report is readable without the enum.
+// series the engine emits — lifecycle events coded by
+// obs::TelemetryEventKind (0-7), submit through terminal state, rendered
+// with their names so the report is readable without the enum.
 JsonValue timelines_json(const BenchReport& b) {
   JsonValue arr = JsonValue::array();
   const std::string prefix = "timeline.";
@@ -293,7 +293,7 @@ JsonValue timelines_json(const BenchReport& b) {
       JsonValue ev = JsonValue::object();
       ev.set("t", t);
       ev.set("phase", v);
-      ev.set("name", obs::request_phase_name(static_cast<obs::RequestPhase>(
+      ev.set("name", obs::request_phase_name(static_cast<obs::TelemetryEventKind>(
                          static_cast<int>(v))));
       events.push_back(std::move(ev));
     }

@@ -59,18 +59,12 @@ JsonValue stats_json(const RollingStats& s) {
 
 }  // namespace
 
-const char* request_phase_name(RequestPhase p) {
-  switch (p) {
-    case RequestPhase::kSubmitted: return "submitted";
-    case RequestPhase::kAdmitted: return "admitted";
-    case RequestPhase::kPrefillChunk: return "prefill_chunk";
-    case RequestPhase::kPrefillDone: return "prefill_done";
-    case RequestPhase::kDecodeStep: return "decode_step";
-    case RequestPhase::kCompleted: return "completed";
-    case RequestPhase::kShed: return "shed";
-    case RequestPhase::kCancelled: return "cancelled";
-  }
-  return "unknown";
+const char* request_phase_name(TelemetryEventKind kind) {
+  static constexpr const char* kNames[] = {"submitted",    "admitted",    "prefill_chunk",
+                                           "prefill_done", "decode_step", "completed",
+                                           "shed",         "cancelled"};
+  const auto code = static_cast<std::size_t>(kind);
+  return code < std::size(kNames) ? kNames[code] : "unknown";
 }
 
 // ---------------------------------------------------------------------------

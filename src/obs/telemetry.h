@@ -71,20 +71,11 @@ enum class TelemetryEventKind : std::uint8_t {
                       // aux = audited row count (obs/audit.h)
 };
 
-// Request lifecycle phases, shared by the `timeline.<request>` series values
-// and the run report's timeline view so both decode the same numeric coding.
-enum class RequestPhase : int {
-  kSubmitted = 0,
-  kAdmitted = 1,
-  kPrefillChunk = 2,
-  kPrefillDone = 3,
-  kDecodeStep = 4,
-  kCompleted = 5,
-  kShed = 6,
-  kCancelled = 7,
-};
-
-const char* request_phase_name(RequestPhase p);
+// The first eight kinds (codes 0-7) are the request lifecycle phases: the
+// `timeline.<request>` series values use the same coding, and the run
+// report's timeline view names them with this ("submitted" ... "cancelled";
+// "unknown" for any other code).
+const char* request_phase_name(TelemetryEventKind kind);
 
 // Fixed-size POD so ring slots need no allocation and drains are memcpys.
 struct TelemetryEvent {

@@ -4,36 +4,12 @@
 #include <memory>
 
 #include "attention/flash_attention.h"
+#include "attention/sparse_flash_attention.h"
 #include "obs/accounting.h"
 #include "obs/trace.h"
 
 namespace sattn {
 namespace {
-
-// Copies the chunk's queries and the key prefix [0, k_hi) into a standalone
-// AttentionInput whose causal offset (sk - sq) reproduces the original
-// causal structure for those rows.
-AttentionInput make_chunk(const AttentionInput& in, Index q_lo, Index q_hi, Index k_hi) {
-  const Index d = in.head_dim();
-  AttentionInput chunk;
-  chunk.q.resize(q_hi - q_lo, d);
-  chunk.k.resize(k_hi, d);
-  chunk.v.resize(k_hi, d);
-  for (Index i = q_lo; i < q_hi; ++i) {
-    auto src = in.q.row(i);
-    auto dst = chunk.q.row(i - q_lo);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  for (Index j = 0; j < k_hi; ++j) {
-    auto ks = in.k.row(j);
-    auto kd = chunk.k.row(j);
-    std::copy(ks.begin(), ks.end(), kd.begin());
-    auto vs = in.v.row(j);
-    auto vd = chunk.v.row(j);
-    std::copy(vs.begin(), vs.end(), vd.begin());
-  }
-  return chunk;
-}
 
 template <typename RunChunk>
 StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk_size,
@@ -62,19 +38,16 @@ StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk
   if (cache != nullptr && cache->empty()) {
     res.prefix_hit_tokens = cache->try_attach_prefix(in, sq, &res.out);
   }
+  // Each chunk runs in place: queries [q_lo, q_hi) against the key prefix
+  // [0, q_hi) of the input, writing straight into its output rows.
+  const mk::KvView kv = mk::KvView::of(in);
   double density_sum = 0.0;
   for (Index q_lo = res.prefix_hit_tokens; q_lo < sq; q_lo += chunk_size) {
     SATTN_SPAN("runtime/prefill_chunk");
     SATTN_COUNTER_ADD("runtime.prefill_chunks", 1);
     const Index q_hi = std::min(sq, q_lo + chunk_size);
-    const AttentionInput chunk = make_chunk(in, q_lo, q_hi, q_hi);
-    Matrix chunk_out;
-    density_sum += run_chunk(chunk, chunk_out);
-    for (Index i = q_lo; i < q_hi; ++i) {
-      auto src = chunk_out.row(i - q_lo);
-      auto dst = res.out.row(i);
-      std::copy(src.begin(), src.end(), dst.begin());
-    }
+    density_sum +=
+        run_chunk(in.q.row(q_lo).data(), q_hi - q_lo, kv, q_hi, res.out.row(q_lo).data());
     if (cache != nullptr) {
       for (Index j = q_lo; j < q_hi; ++j) {
         SATTN_RETURN_IF_ERROR(cache->append(j, in.k.row(j), in.v.row(j)));
@@ -93,8 +66,8 @@ StatusOr<ChunkedPrefillResult> chunked_flash_prefill(const AttentionInput& in, I
                                                      KVCache* cache,
                                                      const std::string& request_id) {
   return run_chunked(in, chunk_size, cache, request_id,
-                     [](const AttentionInput& chunk, Matrix& out) {
-                       flash_attention(chunk, out);
+                     [](const float* q, Index rows, const mk::KvView& kv, Index k_hi, float* out) {
+                       flash_attention(q, rows, kv, k_hi, out);
                        return 1.0;
                      });
 }
@@ -104,9 +77,10 @@ StatusOr<ChunkedPrefillResult> chunked_sample_prefill(const AttentionInput& in, 
                                                       KVCache* cache,
                                                       const std::string& request_id) {
   return run_chunked(in, chunk_size, cache, request_id,
-                     [&cfg](const AttentionInput& chunk, Matrix& out) {
-                       SamplePlan plan;
-                       sample_attention(chunk, cfg, out, &plan);
+                     [&cfg](const float* q, Index rows, const mk::KvView& kv, Index k_hi,
+                            float* out) {
+                       const SamplePlan plan = plan_sample_attention(q, rows, kv, k_hi, cfg);
+                       sparse_flash_attention(q, rows, kv, k_hi, plan.mask, out);
                        return plan.density;
                      });
 }

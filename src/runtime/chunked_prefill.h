@@ -5,8 +5,10 @@
 // Queries are processed in chunks of `chunk_size`; each chunk attends the
 // key prefix that exists by its end, so the result is mathematically
 // identical to one-shot causal attention while peak intermediate memory is
-// O(chunk * prefix) instead of O(S^2)-shaped worst cases. Optionally fills
-// a KVCache for the subsequent decode phase.
+// O(chunk * prefix) instead of O(S^2)-shaped worst cases. Each chunk runs in
+// place — its queries and key prefix are read through mk::KvView::of(in)
+// and its output rows written straight into the result, with no per-chunk
+// copy. Optionally fills a KVCache for the subsequent decode phase.
 //
 // Two variants: exact flash attention per chunk, and SampleAttention per
 // chunk (each chunk plans its own mask against the current prefix — the

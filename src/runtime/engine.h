@@ -29,6 +29,12 @@
 // deadline that force-cancels stragglers), and returns the results. An
 // optional watchdog thread observes loop progress through atomics only.
 //
+// One loop iteration is a run of named phases (engine.cpp): intake (drain
+// submissions and cancels, bounded drain) -> admit -> gate_kv_budget ->
+// steer -> form (plan_chunk per sample-mode prefill chunk) -> one ragged
+// sweep -> apply (finish_prefill when a prompt is done). Every terminal
+// state goes through retire(), and every lifecycle event through note().
+//
 // Lifecycle hardening (docs/ROBUSTNESS.md, "Lifecycle, overload & chaos"):
 // every submitted request reaches EXACTLY ONE terminal state — completed,
 // shed (with reason), or cancelled — and completed + cancelled records both
@@ -48,6 +54,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -323,12 +330,60 @@ class ServingEngine {
 
  private:
   struct Live;  // one in-flight request (engine.cpp)
+  struct Item;  // one request's share of a step (engine.cpp)
+  using LiveIt = std::vector<std::unique_ptr<Live>>::iterator;
 
+  // Circuit breaker over sample-mode planning episodes
+  // (EngineOptions::breaker_fault_threshold / breaker_cooldown_seconds).
+  struct PlanBreaker {
+    enum State : int { kClosed = 0, kOpen = 1, kHalfOpen = 2 };  // engine.breaker_state
+    // Whether a chunk may plan: false while open (the chunk short-circuits
+    // to the dense rung); the first call after the cooldown goes half-open.
+    bool allow(double now);
+    // One planning episode (threshold > 0 only): an exhausted ladder extends
+    // the fault streak and trips at the threshold or from half-open; an
+    // accepted plan resets the streak and closes a half-open breaker.
+    void record(bool accepted, double now);
+    // Opens the breaker for the cooldown; false (no trip) if already open.
+    bool trip(double now);
+
+    int threshold = 0;
+    double cooldown_s = 0.0;
+    State state = kClosed;
+    double open_until = 0.0;
+    int streak = 0;
+    Index trips = 0;
+  };
+
+  // loop() runs these phases in order, once per iteration (engine.cpp).
   void loop();
+  bool intake(std::vector<ServingRequest>& arrivals, bool& closed);
+  void admit(std::vector<ServingRequest> arrivals);
+  void gate_kv_budget();
+  void steer();
+  std::vector<Item> form(RaggedBatchView& batch);
+  void plan_chunk(Item& item, RaggedSeq& seq);
+  void apply(const std::vector<Item>& items, const std::vector<SeqCost>& costs);
+  void finish_prefill(Live& lr);
+
+  // The one terminal path: completed, shed or cancelled. `lr` is null for a
+  // request retired before admission; the iterator form erases from live_.
+  void retire(ServingRequest req, const Live* lr, TerminalState state, const char* reason);
+  LiveIt retire(LiveIt it, TerminalState state, const char* reason);
+  // One lifecycle event: telemetry plus, for the lifecycle kinds, the
+  // request's timeline point.
+  void note(obs::TelemetryEventKind kind, const std::string& id, double t, double value = 0.0,
+            std::uint32_t aux = 0);
+  void wait_for_work(std::unique_lock<std::mutex>& lk, double until);
+  void probe_prefix(Live& lr);
+  double kv_bytes(const Live& lr) const;
+  double active_kv_bytes() const;
   void watchdog();
   double now() const;  // seconds since start()
 
   EngineOptions opts_;
+  PrefillCost projected_cost_;  // opts_.projected_prefill_seconds, or zero cost
+  PlanBreaker breaker_;
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -377,8 +432,11 @@ class ServingEngine {
   // before live_ so caches release their pages before the arena dies.
   std::shared_ptr<KvPageArena> arena_;
 
-  // Loop-thread-owned state.
+  // Loop-thread-owned state. A cancel can race ahead of its submit, so
+  // unmatched cancel ids wait in pending_cancels_ until they match (or the
+  // loop exits); ids of already-terminal requests simply never match.
   std::vector<std::unique_ptr<Live>> live_;
+  std::unordered_set<std::string> pending_cancels_;
   Index admit_seq_ = 0;
   EngineResult result_;
 };

@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -445,6 +447,84 @@ TEST(ServingEngineTest, AdmissionAndOversizedSheddingAtTheDoor) {
   }
   EXPECT_TRUE(saw_oversized);
   EXPECT_EQ(res.completed.size() + res.shed.size(), 3u);
+}
+
+TEST_F(EngineObs, EveryTimelineStartsSubmittedAndEndsInItsOneTerminalPhase) {
+  // One request per terminal path: a completion, a door shed, a kv_budget
+  // shed, an in-flight cancel (parked in its retry backoff) and a cancel
+  // that races ahead of its submit. Every timeline opens with `submitted`
+  // at the request's arrival and closes with exactly one terminal phase
+  // matching its TerminalState; in between it carries one prefill_chunk per
+  // served chunk and one decode_step per decoded token.
+  EngineOptions opts = small_engine();  // run_label "t", 64-token chunks
+  opts.max_prompt_tokens = 512;
+  opts.kv_budget_bytes = 64.0 * 1024.0;  // 256 KV bytes per token at d = 32
+  // Every request's first chunk faults once, then retries after 0.2 s.
+  opts.fault = {FaultClass::kTensorNaN, 1.0, 0x7ull, /*max_fires=*/1};
+  opts.max_retries = 3;
+  opts.retry_backoff_seconds = 0.2;
+  ServingEngine engine(opts);
+  engine.start();
+  engine.cancel("early");
+  ASSERT_TRUE(engine.submit({"early", 64, 0.0}).ok());
+  ASSERT_TRUE(engine.submit({"door", 1024, 0.0}).ok());  // oversized
+  ASSERT_TRUE(engine.submit({"huge", 300, 0.0}).ok());   // solo KV > budget
+  ASSERT_TRUE(engine.submit({"done", 128, 0.0}).ok());
+  ASSERT_TRUE(engine.submit({"slow", 64, 0.0}).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  engine.cancel("slow");
+  const EngineResult res = engine.finish();
+
+  ASSERT_EQ(res.completed.size(), 1u);
+  ASSERT_EQ(res.shed.size(), 2u);
+  ASSERT_EQ(res.cancelled.size(), 2u);
+  struct Expected {
+    double arrival;
+    Index chunks;
+    Index decoded;
+  };
+  std::map<std::string, Expected> expected;
+  for (const EngineCompletion& c : res.completed) {
+    const Index served = c.base.request.prompt_tokens - c.prefix_hit_tokens;
+    expected[c.base.request.id] = {c.base.request.arrival_seconds,
+                                   (served + opts.chunk_tokens - 1) / opts.chunk_tokens,
+                                   c.decoded_tokens};
+  }
+  // No other request serves a chunk: sheds never start, and "slow"'s only
+  // attempt faulted (or had not run) when its cancel landed.
+  for (const ShedRequest& s : res.shed) {
+    EXPECT_EQ(s.reason, s.request.id == "door" ? "oversized" : "kv_budget") << s.request.id;
+    expected[s.request.id] = {s.request.arrival_seconds, 0, 0};
+  }
+  for (const CancelledRequest& c : res.cancelled) {
+    expected[c.base.request.id] = {c.base.request.arrival_seconds, 0, c.decoded_tokens};
+  }
+  const auto code = [](obs::TelemetryEventKind k) { return static_cast<double>(k); };
+  const std::map<TerminalState, obs::TelemetryEventKind> terminal_kind = {
+      {TerminalState::kCompleted, obs::TelemetryEventKind::kComplete},
+      {TerminalState::kShed, obs::TelemetryEventKind::kShed},
+      {TerminalState::kCancelled, obs::TelemetryEventKind::kCancel}};
+  const auto outcomes = res.outcomes();
+  ASSERT_EQ(outcomes.size(), 5u);
+  for (const auto& [id, state] : outcomes) {
+    const auto tl = obs::MetricsRegistry::global().series("timeline.t/" + id).samples();
+    ASSERT_GE(tl.size(), 2u) << id;
+    EXPECT_EQ(tl.front().second, code(obs::TelemetryEventKind::kSubmit)) << id;
+    EXPECT_EQ(tl.front().first, expected.at(id).arrival) << id;
+    const obs::TelemetryEventKind last = terminal_kind.at(state);
+    EXPECT_EQ(tl.back().second, code(last)) << id;
+    const auto count = [&](obs::TelemetryEventKind k) {
+      return std::count_if(tl.begin(), tl.end(), [&](const auto& p) { return p.second == code(k); });
+    };
+    EXPECT_EQ(count(obs::TelemetryEventKind::kComplete) + count(obs::TelemetryEventKind::kShed) +
+                  count(obs::TelemetryEventKind::kCancel),
+              1)
+        << id;
+    EXPECT_EQ(count(obs::TelemetryEventKind::kPrefillChunk), expected.at(id).chunks) << id;
+    EXPECT_EQ(count(obs::TelemetryEventKind::kDecodeStep), expected.at(id).decoded) << id;
+  }
+  EXPECT_EQ(expected.at("done").chunks, 2);
+  EXPECT_EQ(expected.at("done").decoded, opts.decode_tokens);
 }
 
 TEST_F(EngineObs, SampleModeEscalationLadderFallsBackToDenseOnPlanFaults) {

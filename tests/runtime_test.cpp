@@ -2,7 +2,11 @@
 // policies, chunked prefill, and the model-level prefill runner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <vector>
 
 #include "attention/flash_attention.h"
 #include "attention/full_attention.h"
@@ -12,6 +16,7 @@
 #include "runtime/decode.h"
 #include "runtime/eviction.h"
 #include "runtime/kv_cache.h"
+#include "runtime/kv_page.h"
 #include "runtime/model_runner.h"
 #include "sample_attention/sample_attention.h"
 
@@ -224,6 +229,78 @@ TEST(ChunkedPrefill, SampleVariantIsNearLossless) {
   EXPECT_EQ(res.chunks, 4);
   EXPECT_LT(res.mean_density, 1.0);
   EXPECT_LT(mean_abs_diff(res.out, exact), 0.05f);
+}
+
+// The per-chunk materialized reference: chunk [q_lo, q_hi) copied into its
+// own AttentionInput (queries q_lo..q_hi, keys/values 0..q_hi), run through
+// the tensor-form kernel (flash, or SampleAttention with *cfg), and its rows
+// copied back into `out` (empty: zero-initialized) — rows before `start`
+// are kept as given.
+Matrix materialized_chunks(const AttentionInput& in, Index chunk, Index start, Matrix out,
+                           const SampleAttentionConfig* cfg) {
+  const Index d = in.head_dim();
+  if (out.size() == 0) out.resize(in.sq(), d);
+  for (Index q_lo = start; q_lo < in.sq(); q_lo += chunk) {
+    const Index q_hi = std::min(in.sq(), q_lo + chunk);
+    AttentionInput c;
+    c.q.resize(q_hi - q_lo, d);
+    c.k.resize(q_hi, d);
+    c.v.resize(q_hi, d);
+    for (Index i = q_lo; i < q_hi; ++i) std::ranges::copy(in.q.row(i), c.q.row(i - q_lo).begin());
+    for (Index j = 0; j < q_hi; ++j) {
+      std::ranges::copy(in.k.row(j), c.k.row(j).begin());
+      std::ranges::copy(in.v.row(j), c.v.row(j).begin());
+    }
+    Matrix o;
+    if (cfg != nullptr) {
+      sample_attention(c, *cfg, o);
+    } else {
+      flash_attention(c, o);
+    }
+    for (Index i = q_lo; i < q_hi; ++i) std::ranges::copy(o.row(i - q_lo), out.row(i).begin());
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> bits(const Matrix& m) {
+  std::vector<std::uint32_t> b(static_cast<std::size_t>(m.size()));
+  std::memcpy(b.data(), m.data(), b.size() * sizeof(float));
+  return b;
+}
+
+TEST(ChunkedPrefill, InPlaceChunksBitIdenticalToMaterializedChunks) {
+  // Chunks run in place (queries and key prefix read through
+  // mk::KvView::of(in), outputs written into the result rows); that must
+  // change addressing only, never arithmetic — for both variants, at every
+  // chunk size, and for a warm run whose leading pages come from the prefix
+  // index.
+  const AttentionInput in = generate_attention(chatglm2_6b(), plain_prompt(11, 200), 8, 3);
+  const Index d = in.head_dim();
+  const SampleAttentionConfig cfg;
+  for (Index chunk : {1, 7, 50}) {
+    EXPECT_EQ(bits(chunked_flash_prefill(in, chunk).value().out),
+              bits(materialized_chunks(in, chunk, 0, Matrix{}, nullptr)))
+        << "flash, chunk=" << chunk;
+    EXPECT_EQ(bits(chunked_sample_prefill(in, chunk, cfg).value().out),
+              bits(materialized_chunks(in, chunk, 0, Matrix{}, &cfg)))
+        << "sample, chunk=" << chunk;
+  }
+  for (const SampleAttentionConfig* variant : {static_cast<const SampleAttentionConfig*>(nullptr),
+                                               &cfg}) {
+    const auto run = [&](KVCache& cache) {
+      return variant == nullptr ? chunked_flash_prefill(in, 50, &cache).value()
+                                : chunked_sample_prefill(in, 50, *variant, &cache).value();
+    };
+    auto arena = std::make_shared<KvPageArena>(d, 64);
+    KVCache cold_cache(d, arena), warm_cache(d, arena);
+    const ChunkedPrefillResult cold = run(cold_cache);
+    const ChunkedPrefillResult warm = run(warm_cache);
+    ASSERT_EQ(warm.prefix_hit_tokens, 192) << "three full 64-token pages attach";
+    EXPECT_EQ(warm.chunks, 1);
+    EXPECT_EQ(bits(warm.out),
+              bits(materialized_chunks(in, 50, warm.prefix_hit_tokens, cold.out, variant)))
+        << (variant == nullptr ? "flash" : "sample") << " warm run";
+  }
 }
 
 TEST(ChunkedPrefill, DecodeAfterChunkedPrefillIsExact) {

@@ -14,14 +14,19 @@
 // --selftest spins a small sample-mode engine with every plan corrupted
 // (forced dense fallbacks) and low drift thresholds, streams telemetry to a
 // scratch file, renders it through the same --once path, and exits non-zero
-// unless the frame shows rolling percentiles and an active alert. This is
-// the ctest smoke test: it proves the whole plane end to end — engine ->
-// rings -> publisher -> NDJSON -> dashboard.
+// unless the frame shows rolling percentiles and an active alert; then it
+// renders malformed lines (negative, 1e300 and wrong-type fields), each of
+// which must still produce a frame. This is the ctest smoke test: it proves
+// the whole plane end to end — engine -> rings -> publisher -> NDJSON ->
+// dashboard.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -43,6 +48,27 @@ std::string read_last_line(const std::string& path) {
     if (!line.empty()) last = line;
   }
   return last;
+}
+
+// Telemetry fields are parsed doubles, and a malformed line can carry any
+// value there (a negative count, 1e300) or none (a string where a number
+// belongs reads as 0). A double-to-integer cast out of the target's range is
+// undefined behaviour, so every integer the frame shows goes through here:
+// clamped to T's range, NaN read as 0.
+template <typename T>
+T clamp_to(double x) {
+  constexpr double lo = static_cast<double>(std::numeric_limits<T>::lowest());
+  constexpr double hi = static_cast<double>(std::numeric_limits<T>::max());
+  if (std::isnan(x)) return T{0};
+  if (x <= lo) return std::numeric_limits<T>::lowest();
+  if (x >= hi) return std::numeric_limits<T>::max();
+  return static_cast<T>(x);
+}
+
+// An integer field of a telemetry object, clamped.
+template <typename T = long long>
+T int_field(const JsonValue& o, const char* key) {
+  return clamp_to<T>(o.get(key).as_number());
 }
 
 std::string fmt_seconds(double s) {
@@ -80,7 +106,7 @@ const char* breaker_name(int state) {
 
 void render_rolling(std::ostringstream& out, const char* name, const JsonValue& h,
                     double window_s) {
-  const std::size_t n = static_cast<std::size_t>(h.get("count").as_number());
+  const auto n = int_field<std::size_t>(h, "count");
   out << "  " << name;
   if (n == 0) {
     out << "   (no samples in window)\n";
@@ -104,13 +130,13 @@ std::string render_frame(const JsonValue& o) {
   const JsonValue& alerts = o.get("alerts");
 
   out << "engine_top — label=" << o.get("label").as_string()
-      << "  seq=" << static_cast<long long>(o.get("seq").as_number())
+      << "  seq=" << int_field(o, "seq")
       << "  t=" << fmt_seconds(o.get("t").as_number()) << "\n";
-  out << "  engine live=" << static_cast<long long>(eng.get("live").as_number())
-      << " active=" << static_cast<long long>(eng.get("active").as_number())
-      << "  breaker=" << breaker_name(static_cast<int>(eng.get("breaker_state").as_number()))
+  out << "  engine live=" << int_field(eng, "live")
+      << " active=" << int_field(eng, "active")
+      << "  breaker=" << breaker_name(int_field<int>(eng, "breaker_state"))
       << "  heartbeat_age=" << fmt_seconds(eng.get("heartbeat_age_s").as_number())
-      << "  watchdog_stalls=" << static_cast<long long>(eng.get("watchdog_stalls").as_number())
+      << "  watchdog_stalls=" << int_field(eng, "watchdog_stalls")
       << "\n";
 
   const double kv = eng.get("kv_bytes").as_number();
@@ -118,9 +144,9 @@ std::string render_frame(const JsonValue& o) {
   out << "  kv     " << fmt_bytes(kv);
   if (budget > 0.0) {
     const double frac = kv / budget;
-    out << " / " << fmt_bytes(budget) << " (" << static_cast<int>(frac * 100.0) << "%)  [";
+    out << " / " << fmt_bytes(budget) << " (" << clamp_to<long long>(frac * 100.0) << "%)  [";
     const int width = 24;
-    const int fill = frac >= 1.0 ? width : static_cast<int>(frac * width);
+    const int fill = std::clamp(clamp_to<int>(frac * width), 0, width);
     for (int i = 0; i < width; ++i) out << (i < fill ? '=' : '.');
     out << "]";
   } else {
@@ -155,21 +181,21 @@ std::string render_frame(const JsonValue& o) {
                   "  audit_cra mean=%.3f min=%.3f p50=%.3f  audited chunks=%lld rows=%lld\n",
                   audit.get("mean").as_number(), audit.get("min").as_number(),
                   audit.get("p50").as_number(),
-                  static_cast<long long>(totals.get("audited_chunks").as_number()),
-                  static_cast<long long>(totals.get("audited_rows").as_number()));
+                  int_field(totals, "audited_chunks"),
+                  int_field(totals, "audited_rows"));
     out << audit_buf;
   }
 
-  out << "  totals submitted=" << static_cast<long long>(totals.get("submitted").as_number())
-      << " admitted=" << static_cast<long long>(totals.get("admitted").as_number())
-      << " completed=" << static_cast<long long>(totals.get("completed").as_number())
-      << " shed=" << static_cast<long long>(totals.get("shed").as_number())
-      << " cancelled=" << static_cast<long long>(totals.get("cancelled").as_number()) << "\n";
-  out << "         prefill_chunks=" << static_cast<long long>(totals.get("prefill_chunks").as_number())
-      << " decode_steps=" << static_cast<long long>(totals.get("decode_steps").as_number())
-      << " plans=" << static_cast<long long>(totals.get("plans").as_number())
-      << " escalations=" << static_cast<long long>(totals.get("escalations").as_number())
-      << " dense_fallbacks=" << static_cast<long long>(totals.get("dense_fallbacks").as_number())
+  out << "  totals submitted=" << int_field(totals, "submitted")
+      << " admitted=" << int_field(totals, "admitted")
+      << " completed=" << int_field(totals, "completed")
+      << " shed=" << int_field(totals, "shed")
+      << " cancelled=" << int_field(totals, "cancelled") << "\n";
+  out << "         prefill_chunks=" << int_field(totals, "prefill_chunks")
+      << " decode_steps=" << int_field(totals, "decode_steps")
+      << " plans=" << int_field(totals, "plans")
+      << " escalations=" << int_field(totals, "escalations")
+      << " dense_fallbacks=" << int_field(totals, "dense_fallbacks")
       << "\n";
 
   if (alerts.is_array() && alerts.size() > 0) {
@@ -186,7 +212,7 @@ std::string render_frame(const JsonValue& o) {
     out << "  alerts (none active)\n";
   }
 
-  const long long dropped = static_cast<long long>(o.get("events_dropped").as_number());
+  const long long dropped = int_field(o, "events_dropped");
   if (dropped > 0) out << "  events_dropped=" << dropped << "\n";
   return out.str();
 }
@@ -229,7 +255,7 @@ int watch(const std::string& path, double interval_s) {
   }
 }
 
-// In-process end-to-end check, two scenarios:
+// In-process end-to-end check, three scenarios:
 //
 //   1. Every plan corrupted so the ladder falls back to dense; drift
 //      thresholds low enough that the dense-fallback alert must fire.
@@ -239,6 +265,8 @@ int watch(const std::string& path, double interval_s) {
 //      claims full coverage — validation passes, no fallback, no planner-
 //      side signal at all. Only the shadow auditor's *measured* CRA can see
 //      it; verifies the audit panel renders and measured_cra_low fires.
+//   3. Malformed telemetry lines (negative, 1e300 and wrong-type fields)
+//      each still render a frame.
 int selftest(bool keep_file) {
   using namespace sattn;
   const std::string path = "engine_top_selftest.ndjson";
@@ -338,6 +366,35 @@ int selftest(bool keep_file) {
   expect_audit("audited chunks=");
   expect_audit("ALERT  measured_cra_low");   // measured-quality drift fired
   if (!keep_file) std::remove(audit_path.c_str());
+
+  // Scenario 3: malformed lines. Negative, huge (1e300) and wrong-type
+  // fields must each still render a frame — every integer they feed is
+  // clamped, never cast out of range.
+  const char* const malformed[] = {
+      R"({"label":"neg","seq":-1,"t":-2,"engine":{"live":-3,"active":-1,"breaker_state":-7,)"
+      R"("watchdog_stalls":-1,"kv_bytes":-5,"kv_budget_bytes":1},"totals":{"submitted":-1,)"
+      R"("audited_chunks":-1},"rolling":{"ttft_s":{"count":-1},"audit_cra":{"count":1}},)"
+      R"("events_dropped":-9})",
+      R"({"label":"huge","seq":1e300,"engine":{"live":1e300,"breaker_state":1e300,)"
+      R"("watchdog_stalls":-1e300,"kv_bytes":1e300,"kv_budget_bytes":1e-300},)"
+      R"("totals":{"completed":1e300,"audited_rows":1e300},"rolling":{"ttft_s":)"
+      R"({"count":1e300,"p50":1e300},"audit_cra":{"count":1e300}},"events_dropped":1e300})",
+      R"({"label":7,"seq":"x","t":[1],"engine":"oops","totals":[1,2],)"
+      R"("rolling":{"ttft_s":{"count":"many"},"tpot_s":[]},"alerts":{"a":1}})",
+  };
+  for (const char* line : malformed) {
+    const auto parsed = parse_json(line);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "selftest: malformed fixture does not parse: %s\n", line);
+      ++failures;
+      continue;
+    }
+    const std::string bad_frame = render_frame(parsed.value());
+    if (bad_frame.rfind("engine_top", 0) != 0 || bad_frame.find("totals") == std::string::npos) {
+      std::fprintf(stderr, "selftest: malformed line did not render: %s\n", line);
+      ++failures;
+    }
+  }
 
   if (failures == 0) std::printf("selftest: OK\n");
   return failures == 0 ? 0 : 1;

@@ -216,8 +216,10 @@ BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, true)->Arg(2048);
 // Ragged-batch sweep vs a per-request kernel loop (docs/PERFORMANCE.md
 // "Batched kernels"). Same total work — `batch` sequences of 1K tokens —
 // but the per-request loop parallelizes inside one sequence at a time
-// (q-tile granularity) while the ragged sweep runs whole sequences
-// concurrently, which is how the serving engine amortizes a live batch.
+// (q-tile granularity) while the ragged sweep spreads the row blocks of all
+// sequences over the pool, which is how the serving engine amortizes a live
+// batch. The work runs on pool workers while the calling thread waits, so
+// every case here is timed and rated per wall second (UseRealTime).
 
 void BM_PerRequestLoopDense(benchmark::State& state) {
   const Index batch = state.range(0);
@@ -231,7 +233,7 @@ void BM_PerRequestLoopDense(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * 1024 * 1024 / 2);
 }
-BENCHMARK(BM_PerRequestLoopDense)->Arg(2)->Arg(8);
+BENCHMARK(BM_PerRequestLoopDense)->Arg(2)->Arg(8)->UseRealTime();
 
 void BM_RaggedBatchDense(benchmark::State& state) {
   const Index batch = state.range(0);
@@ -258,7 +260,53 @@ void BM_RaggedBatchDense(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * 1024 * 1024 / 2);
 }
-BENCHMARK(BM_RaggedBatchDense)->Arg(2)->Arg(8);
+BENCHMARK(BM_RaggedBatchDense)->Arg(1)->Arg(2)->Arg(8)->UseRealTime();
+
+// A lone prefill chunk, the serving engine's common case (one sequence per
+// sweep): rows [3840, 4096) of a 4K prompt against its whole key prefix,
+// through the ragged sweep (split into row blocks across the pool) and
+// through standalone flash_attention (parallel over its q-tiles) on the
+// same shape. Items are causal (query, key) pairs, so the two rates compare
+// directly (docs/PERFORMANCE.md).
+constexpr Index kLoneKeys = 4096, kLoneRows = 256;
+
+Index lone_chunk_pairs() {
+  const Index off = kLoneKeys - kLoneRows;
+  return kLoneRows * (off + 1) + kLoneRows * (kLoneRows - 1) / 2;
+}
+
+void BM_RaggedBatchLoneChunk(benchmark::State& state) {
+  const AttentionInput in = bench_input(kLoneKeys);
+  const Index off = kLoneKeys - kLoneRows;
+  Matrix out(kLoneRows, in.head_dim());
+  RaggedBatchView view;
+  RaggedSeq seq;
+  seq.q = in.q.row(off).data();
+  seq.rows = kLoneRows;
+  seq.kv = mk::KvView::of(in);
+  seq.k_hi = kLoneKeys;
+  seq.causal_off = off;
+  seq.out = out.data();
+  view.seqs.push_back(seq);
+  for (auto _ : state) {
+    const std::vector<SeqCost> costs = ragged_attention_sweep(view);
+    benchmark::DoNotOptimize(costs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * lone_chunk_pairs());
+}
+BENCHMARK(BM_RaggedBatchLoneChunk)->UseRealTime();
+
+void BM_FlashLoneChunk(benchmark::State& state) {
+  const AttentionInput in = bench_input(kLoneKeys);
+  Matrix out(kLoneRows, in.head_dim());
+  for (auto _ : state) {
+    flash_attention(in.q.row(kLoneKeys - kLoneRows).data(), kLoneRows, mk::KvView::of(in),
+                    kLoneKeys, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * lone_chunk_pairs());
+}
+BENCHMARK(BM_FlashLoneChunk)->UseRealTime();
 
 // Decode-heavy step: one fresh token against a 4K KV prefix per sequence —
 // the regime where per-request dispatch overhead dominates and batching
@@ -277,7 +325,7 @@ void BM_PerRequestLoopDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * s);
 }
-BENCHMARK(BM_PerRequestLoopDecode)->Arg(8)->Arg(32);
+BENCHMARK(BM_PerRequestLoopDecode)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_RaggedBatchDecode(benchmark::State& state) {
   const Index batch = state.range(0), s = 4096;
@@ -301,7 +349,7 @@ void BM_RaggedBatchDecode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch * s);
 }
-BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32);
+BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32)->UseRealTime();
 
 void BM_BigBird(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));

@@ -2,12 +2,14 @@
 # Sanitizer suites (docs/ROBUSTNESS.md):
 #
 #   1. ASan+UBSan: builds a side tree with -DSATTN_SANITIZE=address,undefined
-#      and runs the full ctest suite; any report fails the run.
+#      (CMakeLists.txt adds float-cast-overflow, which GCC leaves out of
+#      `undefined`) and runs the full ctest suite; any report fails the run.
 #  1b. The kernel-heavy suites again under ASan+UBSan, once per SIMD
 #      backend: simd_kernel_test, attention_test, sparse_kernel_test,
 #      block_sparse_test, sampling_test (Stage-1 reads K through
 #      mk::KvView), runtime_test's ChunkedPrefill suite (chunks run in
-#      place), engine_test's RaggedBatch parity, chaos_engine_test,
+#      place), engine_test's RaggedBatch parity (whole sweeps and lone
+#      sequences split into row blocks), chaos_engine_test,
 #      kv_page_test and audit_test.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
 #      the concurrency-heavy binaries — core_test, sparse_kernel_test,
@@ -63,7 +65,9 @@ for mode in 1 0; do
   # Chunked prefill runs each chunk in place (flash and SampleAttention over
   # mk::KvView::of(in)): bit-identical to materialized chunks on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/runtime_test" --gtest_filter='ChunkedPrefill.*'
-  # Ragged-batch parity must hold bit-exactly on both backends.
+  # Ragged-batch parity must hold bit-exactly on both backends, including
+  # RaggedBatch.LoneSequenceSplitIntoRowBlocksMatchesItsKernelBitExact: a
+  # lone sequence's row blocks run on several workers at once.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" --gtest_filter='RaggedBatch.*'
   # Chaos harness: eviction-compacted caches must keep the sweep
   # bit-identical to the direct kernels on either backend, and the storm
@@ -108,7 +112,8 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$build_tsan/tests/scheduler_test"
 "$build_tsan/tests/accounting_test" --gtest_filter='-*Overhead*'
 # Serving engine: concurrent submitters against the intake lock, the loop
-# thread, and the ragged sweep's pool workers charging per-request acct.*.
+# thread, and the ragged sweep's pool workers writing one sequence's row
+# blocks concurrently (RaggedBatch.LoneSequenceSplitIntoRowBlocks...).
 "$build_tsan/tests/engine_test"
 # Chaos harness: fault storms with racing submitters/cancellers, the
 # watchdog's heartbeat atomics, and forced drains (docs/ROBUSTNESS.md,

@@ -16,12 +16,6 @@
 namespace sattn {
 namespace {
 
-// Query rows per parallel task. A tile runs as groups of mk::kQRows rows;
-// the pool's work claiming balances the causal skew across tiles. 32 rows
-// let 8 groups share each key chunk while a tile's scratch (run lists, a
-// 32 x d accumulator) stays small: at S = 4096, 64-row tiles cost ~0.7 MiB
-// more peak RSS for no measurable speed.
-constexpr Index kTileQ = 32;
 // Kept keys per key chunk. Every group of a tile absorbs the chunk's keys
 // before the tile moves on, so the chunk's K/V rows are read from memory
 // once per tile and stay cache-hot for the other groups; each group
@@ -115,19 +109,28 @@ void sparse_flash_attention(const AttentionInput& in, const StructuredMask& mask
 
 void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
                             const StructuredMask& mask, float* out) {
-  const Index d = kv.d;
   assert(mask.sq() == sq && mask.sk() == sk);
   SATTN_SPAN("kernel/sparse_flash");
-  SATTN_COUNTER_ADD("sattn.mask_stripe_columns", mask.stripe_columns().size());
-  // Measured work: the kept keys each row absorbs, plus the mask metadata
-  // read to build its runs (8 bytes per stripe run / window / band / block
-  // descriptor, per row). Tallied per tile, one atomic add each.
-  std::atomic<double> evals_total{0.0};
+  // Tallied per tile, one atomic add each.
+  std::atomic<double> evals{0.0};
   std::atomic<double> meta_reads{0.0};
-  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  parallel_for((sq + kTileQ - 1) / kTileQ, [&](Index t) {
+    const SparseTileWork w = sparse_flash_tiles(q, sq, kv, sk, mask, out, t, t + 1);
+    evals.fetch_add(w.evals, std::memory_order_relaxed);
+    meta_reads.fetch_add(w.meta_reads, std::memory_order_relaxed);
+  });
+  sparse_flash_record(mask, kv.d, {evals.load(), meta_reads.load()});
+}
 
-  const Index n_tiles = (sq + kTileQ - 1) / kTileQ;
-  parallel_for(n_tiles, [&](Index t) {
+SparseTileWork sparse_flash_tiles(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                  const StructuredMask& mask, float* out, Index t_lo,
+                                  Index t_hi) {
+  const Index d = kv.d;
+  assert(mask.sq() == sq && mask.sk() == sk);
+  assert(0 <= t_lo && t_lo <= t_hi && t_hi * kTileQ < sq + kTileQ);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  SparseTileWork work;
+  for (Index t = t_lo; t < t_hi; ++t) {
     const Index t0 = t * kTileQ;
     const Index nt = std::min(sq, t0 + kTileQ) - t0;
     const Index n_groups = (nt + mk::kQRows - 1) / mk::kQRows;
@@ -136,7 +139,6 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
     sc.l.assign(static_cast<std::size_t>(nt), 0.0);
     sc.acc.resize(nt, d);
     sc.groups.resize(static_cast<std::size_t>(n_groups));
-    double tile_evals = 0.0, tile_meta = 0.0;
 
     // 1. Each row's kept runs, built once. The rows of a group that keep
     //    any key form its block; the keys all of them keep are its common
@@ -148,9 +150,9 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
       const Index r0 = g * mk::kQRows, r1 = std::min(nt, r0 + mk::kQRows);
       for (Index r = r0; r < r1; ++r) {
         std::vector<ColumnRun>& runs = sc.rows[b.rows];
-        tile_meta += static_cast<double>(mask.row_runs(t0 + r, runs));
+        work.meta_reads += static_cast<double>(mask.row_runs(t0 + r, runs));
         if (runs.empty()) continue;
-        for (const ColumnRun& run : runs) tile_evals += static_cast<double>(run.width());
+        for (const ColumnRun& run : runs) work.evals += static_cast<double>(run.width());
         const auto rr = static_cast<std::size_t>(r);
         b.q[b.rows] = q + static_cast<std::size_t>(t0 + r) * static_cast<std::size_t>(d);
         b.m[b.rows] = &sc.m[rr];
@@ -209,14 +211,19 @@ void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Inde
       mk::finalize_row(sc.acc.row(r).data(), sc.l[static_cast<std::size_t>(r)], d,
                        out + static_cast<std::size_t>(t0 + r) * static_cast<std::size_t>(d));
     }
-    evals_total.fetch_add(tile_evals, std::memory_order_relaxed);
-    meta_reads.fetch_add(tile_meta, std::memory_order_relaxed);
-  });
-  const double evals = evals_total.load();
-  SATTN_HISTOGRAM("kernel.sparse_flash.score_evals", evals);
-  obs::charge_attention_kernel("sparse_flash", sq, sk, d, evals,
+  }
+  return work;
+}
+
+void sparse_flash_record(const StructuredMask& mask, Index d, const SparseTileWork& work) {
+  // Measured work: the kept keys each row absorbs, plus the mask metadata
+  // read to build its runs (8 bytes per stripe run / window / band / block
+  // descriptor, per row).
+  SATTN_COUNTER_ADD("sattn.mask_stripe_columns", mask.stripe_columns().size());
+  SATTN_HISTOGRAM("kernel.sparse_flash.score_evals", work.evals);
+  obs::charge_attention_kernel("sparse_flash", mask.sq(), mask.sk(), d, work.evals,
                                /*score_bytes=*/0.0,
-                               /*meta_bytes=*/8.0 * meta_reads.load());
+                               /*meta_bytes=*/8.0 * work.meta_reads);
 }
 
 double sparse_flash_work(const StructuredMask& mask) {

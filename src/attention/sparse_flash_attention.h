@@ -41,6 +41,35 @@ void sparse_flash_attention(const AttentionInput& in, const StructuredMask& mask
 void sparse_flash_attention(const float* q, Index sq, const mk::KvView& kv, Index sk,
                             const StructuredMask& mask, float* out);
 
+// Query rows per tile: the unit of the kernel's parallel loop, and the row
+// block every sequence of the ragged sweep splits into (runtime/batch.h). A
+// tile runs as groups of mk::kQRows rows; the pool's work claiming balances
+// the causal skew across tiles. 32 rows let 8 groups share each key chunk
+// while a tile's scratch (run lists, a 32 x d accumulator) stays small: at
+// S = 4096, 64-row tiles cost ~0.7 MiB more peak RSS for no measurable speed.
+inline constexpr Index kTileQ = 32;
+
+// Measured work of a run of tiles: kept-key score evaluations and mask
+// run-descriptor reads.
+struct SparseTileWork {
+  double evals = 0.0;
+  double meta_reads = 0.0;
+};
+
+// Tile-range entry: runs tiles [t_lo, t_hi) — rows [t_lo*kTileQ,
+// min(sq, t_hi*kTileQ)) — of the view form on the calling thread and
+// returns their work without charging it. The view form runs every tile
+// through here, one pool task each, and the ragged sweep runs a masked
+// sequence's tiles as its row blocks, so both are bit-identical by
+// construction. A caller that runs all tiles of a call records them once
+// with sparse_flash_record.
+SparseTileWork sparse_flash_tiles(const float* q, Index sq, const mk::KvView& kv, Index sk,
+                                  const StructuredMask& mask, float* out, Index t_lo, Index t_hi);
+
+// The counters, histogram and acct.* charge of one whole kernel call over
+// `mask` (head dim d), given the work summed over its tiles.
+void sparse_flash_record(const StructuredMask& mask, Index d, const SparseTileWork& work);
+
 // Exact number of (query, key) score evaluations the kernel performs for
 // this mask — used by tests (vs mask.density) and by the cost model.
 double sparse_flash_work(const StructuredMask& mask);

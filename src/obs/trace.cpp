@@ -115,6 +115,24 @@ void Collector::end_span() {
   log.done.push_back(std::move(rec));
 }
 
+void Collector::record_span(const char* name, clock::time_point start, clock::time_point end) {
+  if (!enabled()) return;
+  const auto us = [this](clock::time_point t) {
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch());
+    return static_cast<double>(ns.count() - epoch_ns_) * 1e-3;
+  };
+  ThreadLog& log = this_thread_log();
+  const RequestContext* ctx = RequestContext::current();
+  SpanRecord rec;
+  rec.name = name;
+  rec.request_id = ctx != nullptr ? ctx->id() : std::string();
+  rec.tid = log.tid;
+  rec.start_us = us(start);
+  rec.dur_us = std::max(0.0, us(end) - rec.start_us);
+  std::lock_guard<std::mutex> lock(log.mu);
+  log.done.push_back(std::move(rec));
+}
+
 std::vector<SpanRecord> Collector::spans() const {
   std::vector<SpanRecord> out;
   std::lock_guard<std::mutex> reg(registry_mu_);

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -106,6 +107,13 @@ class Collector {
 
   // Microseconds since the collector epoch.
   double now_us() const;
+
+  // Records a completed span with explicit bounds on the calling thread's
+  // log, tagged with the RequestContext in effect — for work whose window
+  // covers pieces run on several threads (the ragged sweep's per-sequence
+  // spans, runtime/batch.h). No-op when collection is disabled.
+  void record_span(const char* name, std::chrono::steady_clock::time_point start,
+                   std::chrono::steady_clock::time_point end);
 
   // --- used by ScopedSpan; not part of the public API ---
   void begin_span(const char* name);

@@ -6,26 +6,40 @@
 // 37th token, a third just arrived. Their (Q, K, V) extents all differ, so
 // the batch is *ragged*: RaggedBatchView is a list of per-request views
 // (query span, mk::KvView over keys/values, causal limit), and
-// ragged_attention_sweep services all of them in one parallel pass —
-// sequences run concurrently on the pool, while each sequence's tiles go
-// through the same mk::absorb_key_tile register blocks as the
-// single-request kernels. Per-request obs attribution is preserved: each
-// sequence executes under its own obs::RequestContext and charges its own
-// acct.* FLOP/byte tallies, and the sweep returns each sequence's measured
-// wall time so the engine (runtime/engine.h) can bill TTFT compute
-// per batch element.
+// ragged_attention_sweep services all of them in one parallel pass.
 //
-// Every sequence has one shape — query rows, a key/value view, a causal
-// limit and output rows — and runs one of two kernels:
-//   * no mask — exact attention via flash_rows (dense prefill chunks and
-//     decode steps, straight out of a request's tensors or a KVCache);
-//   * a mask  — sparse_flash_attention over a planned StructuredMask
-//     (SampleAttention's Stage-2 under chunked prefill), read in place the
-//     same way.
+// The pass's work item is a row block of a sequence, not a whole sequence:
+// every sequence splits into blocks of kTileQ (32) rows, and the pool's work
+// claiming spreads all blocks of all sequences over every worker — so a lone
+// 256-row prefill chunk runs on the whole pool. Single-block sequences
+// (decode steps, short chunks) run first, as a pass of their own, so a
+// memory-bound decode step never shares the machine with compute-heavy
+// prefill blocks on every other worker. Each block goes through the same
+// mk::absorb_key_tile / absorb_key_runs register blocks as the
+// single-request kernels:
+//   * no mask — exact attention via flash_rows over the block's rows (dense
+//     prefill chunks and decode steps, straight out of a request's tensors
+//     or a KVCache);
+//   * a mask  — the block is one tile of sparse_flash_attention over a
+//     planned StructuredMask (SampleAttention's Stage-2 under chunked
+//     prefill), run through the kernel's tile-range entry
+//     (sparse_flash_tiles), read in place the same way.
 //
-// Parity contract (pinned in tests/engine_test.cpp): for every sequence, the
-// batched output is bit-identical to running its kernel alone. The sweep
-// introduces no new arithmetic — only scheduling.
+// Per-request attribution stays per sequence: after the blocks finish, each
+// sequence charges its acct.* FLOP/byte tallies once under its own
+// obs::RequestContext and records one span over its wall window, and the
+// sweep returns that window so the engine (runtime/engine.h) can bill TTFT
+// compute per batch element.
+//
+// Parity contract (pinned in tests/engine_test.cpp, RaggedBatch.*): for
+// every sequence, the batched output is bit-identical to running its kernel
+// alone. Blocks introduce no new arithmetic, only scheduling: a row's flash
+// arithmetic depends only on its mk::kQRows group (absorb_key_tile shares
+// the group's shortest causal limit), never on tile_q, and blocks start on
+// kTileQ boundaries, which are group boundaries; a sparse row depends only
+// on its 4-row group and 32-row tile, and a masked block is that tile. (A
+// FlashConfig whose tile_q is not a multiple of kQRows would shift the
+// groups, so such a sequence runs as one block.)
 //
 // form_step is the deterministic batch-formation policy the engine uses:
 // a pure function from a snapshot of live requests to the step's work list,
@@ -48,9 +62,10 @@ namespace sattn {
 struct RaggedSeq {
   std::string request_id;  // obs attribution; empty skips the RequestContext
   // Optional per-sequence span label (a stable literal such as
-  // "seq/prefill_chunk" or "seq/decode_step"). Opened inside the sequence's
-  // RequestContext, so the Chrome exporter can give every request its own
-  // lane of chunk/step spans. Null skips the span.
+  // "seq/prefill_chunk" or "seq/decode_step"). One span per sequence covers
+  // its wall window (SeqCost::seconds), tagged with request_id, so the
+  // Chrome exporter can give every request its own lane of chunk/step
+  // spans. Null (or an empty request_id) skips the span.
   const char* span_name = nullptr;
 
   // Row r of `q` attends keys [0, min(k_hi, r + causal_off + 1)) of `kv`;
@@ -69,8 +84,8 @@ struct RaggedSeq {
 
   // Shadow quality audit (obs/audit.h). When non-null and the sequence has
   // a mask, the sweep scores that mask against ground-truth softmax rows
-  // for the auditor's sampled subset of this chunk's rows, after the kernel
-  // timing window closes — audit wall time lands in SeqCost.audit.seconds,
+  // for the auditor's sampled subset of this chunk's rows, after every
+  // kernel block has finished — audit wall time lands in SeqCost.audit.seconds,
   // never in SeqCost.seconds, so measured compute stays honest and the
   // engine can bill the audit to guard time.
   obs::QualityAuditor* auditor = nullptr;
@@ -85,18 +100,21 @@ struct RaggedBatchView {
   FlashConfig flash;  // tiling for the unmasked sequences
 };
 
-// Measured per-sequence cost of one sweep. Wall times are disjoint per
-// sequence (each sequence is a single work item), so the engine can sum
-// them into per-request compute buckets without double counting.
+// Measured per-sequence cost of one sweep. `seconds` is the sequence's wall
+// window, from its first block's start to its last block's end: within one
+// request it never double counts, so the engine sums it into the request's
+// compute bucket. Windows of different sequences overlap (their blocks
+// interleave on the pool), and each lies within the sweep's wall time.
 struct SeqCost {
   double seconds = 0.0;
-  double evals = 0.0;  // causal score evaluations (unmasked sequences; the
-                       // sparse kernel charges acct.* itself and reports 0)
+  double evals = 0.0;  // causal score evaluations summed over the blocks
+                       // (unmasked sequences; masked ones report 0 and
+                       // charge acct.* as sparse_flash)
   obs::AuditResult audit;  // shadow-audit outcome (rows = 0 when not audited)
 };
 
-// Runs every sequence of the batch, in parallel across the global pool.
-// Returns costs indexed like batch.seqs.
+// Runs every row block of every sequence of the batch, in parallel across
+// the global pool. Returns costs indexed like batch.seqs.
 std::vector<SeqCost> ragged_attention_sweep(const RaggedBatchView& batch);
 
 // ---------------------------------------------------------------------------

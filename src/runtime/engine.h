@@ -24,7 +24,8 @@
 // Threading model: submit()/cancel()/close() are thread-safe producers onto
 // a mutex-guarded intake queue; the single loop thread owns all request
 // state, so no request field is ever touched concurrently; kernel
-// parallelism lives inside the sweep (pool workers, one sequence each).
+// parallelism lives inside the sweep (pool workers claim row blocks of any
+// sequence).
 // finish() closes the intake, joins the loop (optionally bounded by a drain
 // deadline that force-cancels stragglers), and returns the results. An
 // optional watchdog thread observes loop progress through atomics only.

@@ -30,6 +30,8 @@ KVCache& KVCache::operator=(KVCache&& other) noexcept {
     v_ptrs_ = std::move(other.v_ptrs_);
     shared_pages_ = other.shared_pages_;
     positions_ = std::move(other.positions_);
+    chain_ = std::move(other.chain_);
+    chain_src_ = other.chain_src_;
     other.shared_pages_ = 0;
   }
   return *this;
@@ -167,38 +169,40 @@ Status KVCache::keep_slots(std::span<const Index> sorted_slots) {
   return Status::Ok();
 }
 
+std::uint64_t KVCache::page_chain(const AttentionInput& in, Index page) {
+  if (chain_src_ != in.q.data()) {  // a different prompt: its own chain
+    chain_.clear();
+    chain_src_ = in.q.data();
+  }
+  const Index P = arena_->page_tokens();
+  while (static_cast<Index>(chain_.size()) <= page) {
+    const Index lo = static_cast<Index>(chain_.size()) * P;
+    chain_.push_back(
+        prefix_chain_hash(chain_.empty() ? kPrefixChainSeed : chain_.back(), in, lo, lo + P));
+  }
+  return chain_[static_cast<std::size_t>(page)];
+}
+
 Index KVCache::try_attach_prefix(const AttentionInput& in, Index max_tokens, Matrix* out) {
   assert(empty() && "prefix attach requires an empty cache");
   assert(in.head_dim() == d_);
   assert(out == nullptr || (out->rows() >= in.sq() && out->cols() == d_));
   const Index P = arena_->page_tokens();
   const Index limit = std::min(std::min(max_tokens, in.sk()), in.sq());
-  std::uint64_t chain = kPrefixChainSeed;
+  // The lookup verifies K/V against the prompt's own rows in place and
+  // writes the stored outputs straight into `out`.
+  std::vector<float> discard(out == nullptr ? static_cast<std::size_t>(P * d_) : 0);
   Index attached = 0;
-  std::vector<float> k_expect(static_cast<std::size_t>(P) * static_cast<std::size_t>(d_));
-  std::vector<float> v_expect(k_expect.size());
-  std::vector<float> out_rows(k_expect.size());
-  while (attached + P <= limit) {
-    const Index lo = attached, hi = attached + P;
-    chain = prefix_chain_hash(chain, in, lo, hi);
-    const std::size_t row = static_cast<std::size_t>(d_) * sizeof(float);
-    for (Index r = lo; r < hi; ++r) {
-      std::memcpy(k_expect.data() + static_cast<std::size_t>(r - lo) * d_, in.k.row(r).data(), row);
-      std::memcpy(v_expect.data() + static_cast<std::size_t>(r - lo) * d_, in.v.row(r).data(), row);
-    }
+  for (Index pi = 0; attached + P <= limit; ++pi) {
+    const Index lo = attached;
     const KvPageArena::PageRef ref =
-        arena_->prefix_lookup(chain, k_expect.data(), v_expect.data(), out_rows.data());
+        arena_->prefix_lookup(page_chain(in, pi), in.k.row(lo).data(), in.v.row(lo).data(),
+                              out != nullptr ? out->row(lo).data() : discard.data());
     if (ref.id < 0) break;
     push_page(ref);
     ++shared_pages_;
-    if (out != nullptr) {
-      for (Index r = lo; r < hi; ++r) {
-        std::memcpy(out->row(r).data(), out_rows.data() + static_cast<std::size_t>(r - lo) * d_,
-                    row);
-      }
-    }
-    for (Index r = lo; r < hi; ++r) positions_.push_back(r);
-    attached = hi;
+    for (Index r = lo; r < lo + P; ++r) positions_.push_back(r);
+    attached = lo + P;
   }
   if (attached > 0) SATTN_COUNTER_ADD("kv_cache.prefix_hit_tokens", attached);
   return attached;
@@ -212,13 +216,12 @@ Index KVCache::publish_prefix(const AttentionInput& in, const Matrix& out) {
   Index dense = 0;
   while (dense < size() && positions_[static_cast<std::size_t>(dense)] == dense) ++dense;
   const Index full_pages = std::min(dense, std::min(in.sk(), out.rows())) >> shift_;
-  std::uint64_t chain = kPrefixChainSeed;
+  // Attached pages are already published; the chain continues past them
+  // from the hashes the probe computed.
   Index published = 0;
-  for (Index pi = 0; pi < full_pages; ++pi) {
-    const Index lo = pi * P, hi = lo + P;
-    chain = prefix_chain_hash(chain, in, lo, hi);
-    if (pi < shared_pages_) continue;  // attached pages are already published
-    if (!arena_->prefix_publish(chain, pages_[static_cast<std::size_t>(pi)], out.row(lo).data())) {
+  for (Index pi = shared_pages_; pi < full_pages; ++pi) {
+    if (!arena_->prefix_publish(page_chain(in, pi), pages_[static_cast<std::size_t>(pi)],
+                                out.row(pi * P).data())) {
       // Lost the publish race: another cache's image already backs this
       // chain (and therefore every longer chain). Our pages stay private
       // duplicates; later requests will hit the winner's image.
@@ -228,7 +231,6 @@ Index KVCache::publish_prefix(const AttentionInput& in, const Matrix& out) {
     // Published pages are immutable and refcounted by the index; they now
     // count as this cache's shared prefix (appends land past them and
     // bytes() amortizes them across owners).
-    assert(pi == shared_pages_);
     ++shared_pages_;
   }
   return published;

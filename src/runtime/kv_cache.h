@@ -122,13 +122,20 @@ class KVCache {
 
   // ---- Prefix sharing (runtime/kv_page.h) -------------------------------
 
+  // A cache serves one prompt: every call below is given the same input,
+  // whose rows do not change while the cache lives. Page p's chain hash
+  // depends only on rows [0, (p+1)*P) of it, so the cache hashes each page
+  // once, when a probe or a publish first needs it, and keeps the chain:
+  // re-probes reuse it and a publish continues it past the attached pages.
+
   // Probes the arena's prefix index with the chain hashes of `in`'s leading
-  // full pages and attaches every hit: the shared pages join the page
-  // table, their stored attention outputs are copied into the matching rows
-  // of `out` (when non-null; must be [in.sq() x head_dim]). The cache must
-  // be empty. Attachment stops at the first miss and never exceeds
-  // max_tokens (rounded down to a page boundary). Returns the number of
-  // tokens attached — the prefill compute the caller can skip.
+  // full pages and attaches every hit (K/V verified against `in`'s own rows
+  // in place): the shared pages join the page table, their stored attention
+  // outputs are copied into the matching rows of `out` (when non-null; must
+  // be [in.sq() x head_dim]). The cache must be empty. Attachment stops at
+  // the first miss and never exceeds max_tokens (rounded down to a page
+  // boundary). Returns the number of tokens attached — the prefill compute
+  // the caller can skip.
   Index try_attach_prefix(const AttentionInput& in, Index max_tokens, Matrix* out);
 
   // Publishes the leading full pages of this cache (which must hold
@@ -139,6 +146,9 @@ class KVCache {
   Index publish_prefix(const AttentionInput& in, const Matrix& out);
 
  private:
+  // Chain hash of page `page` of `in` (prefix_chain_hash over its pages
+  // 0..page), computed at most once per page.
+  std::uint64_t page_chain(const AttentionInput& in, Index page);
   void push_page(const KvPageArena::PageRef& ref);
   void release_all_pages();
 
@@ -151,6 +161,8 @@ class KVCache {
   std::vector<float*> v_ptrs_;
   Index shared_pages_ = 0;     // leading immutable pages from the index
   std::vector<Index> positions_;
+  std::vector<std::uint64_t> chain_;  // chain hashes of the prompt's pages 0..n-1
+  const float* chain_src_ = nullptr;  // the prompt chain_ was computed from
 };
 
 }  // namespace sattn

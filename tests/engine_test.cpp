@@ -213,6 +213,67 @@ TEST(RaggedBatch, DecodeStepAgainstKvCacheMatchesDirectFlashRows) {
   ASSERT_EQ(std::memcmp(ref.data(), got.data(), d * sizeof(float)), 0);
 }
 
+TEST(RaggedBatch, LoneSequenceSplitIntoRowBlocksMatchesItsKernelBitExact) {
+  // A lone sequence splits into kTileQ-row blocks that the pool's workers
+  // (one per core; SATTN_THREADS overrides) claim concurrently. Ragged row
+  // counts, a causal offset, flat and paged K/V and a masked mid-prompt
+  // chunk must each still equal the sequence's kernel run alone, bit for
+  // bit, and its measured window must lie within the sweep.
+  const Index d = 32;
+  const auto check = [&](RaggedSeq seq, const std::vector<float>& ref, const char* what) {
+    std::vector<float> got(ref.size(), -1.0f);
+    seq.request_id = what;
+    seq.out = got.data();
+    RaggedBatchView batch;
+    batch.seqs.push_back(seq);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::vector<SeqCost> costs = ragged_attention_sweep(batch);
+    const double wall =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(got[i], ref[i]) << what << " float " << i;
+    ASSERT_EQ(costs.size(), 1u);
+    EXPECT_GT(costs[0].seconds, 0.0) << what;
+    EXPECT_LE(costs[0].seconds, wall) << what;
+  };
+  for (const Index rows : {1, 3, 53, 256, 257}) {
+    for (const Index off : {0, 77}) {
+      const Index s = rows + off;
+      const AttentionInput in = random_input(s, s, d, 300 + rows + off);
+      KVCache cache(d, std::make_shared<KvPageArena>(d, /*page_tokens=*/64));
+      ASSERT_TRUE(cache.append_prefill(in).ok());
+      for (const mk::KvView kv : {mk::KvView::of(in), cache.view()}) {
+        RaggedSeq seq;
+        seq.q = in.q.row(off).data();
+        seq.rows = rows;
+        seq.kv = kv;
+        seq.k_hi = s;
+        seq.causal_off = off;
+        std::vector<float> ref(static_cast<std::size_t>(rows * d));
+        flash_rows(seq.q, rows, kv, s, off, ref.data(), d);
+        check(seq, ref, kv.paged() ? "paged" : "flat");
+      }
+    }
+  }
+
+  // A SampleAttention chunk planned mid-prompt, read through a page table.
+  const Index s = 600, q_lo = 300, q_hi = 557;
+  const AttentionInput in = random_input(s, s, d, 399);
+  KVCache cache(d, std::make_shared<KvPageArena>(d, /*page_tokens=*/64));
+  ASSERT_TRUE(cache.append_prefill(in).ok());
+  RaggedSeq seq;
+  seq.q = in.q.row(q_lo).data();
+  seq.rows = q_hi - q_lo;
+  seq.kv = cache.view();
+  seq.k_hi = q_hi;
+  seq.causal_off = q_lo;
+  const SamplePlan plan =
+      plan_sample_attention(seq.q, seq.rows, seq.kv, seq.k_hi, SampleAttentionConfig{});
+  seq.mask = &plan.mask;
+  std::vector<float> ref(static_cast<std::size_t>(seq.rows * d));
+  sparse_flash_attention(seq.q, seq.rows, seq.kv, seq.k_hi, plan.mask, ref.data());
+  check(seq, ref, "masked");
+}
+
 // ---------------------------------------------------------------------------
 // Deterministic batch formation.
 

@@ -382,6 +382,70 @@ TEST(PrefixCache, ReleaseOnDestructionLeavesOnlyIndexHeldPages) {
   EXPECT_EQ(late.try_attach_prefix(in, s, &out), s);
 }
 
+TEST(PrefixCache, ChainContinuedPastAttachedPagesEqualsTheRehashedChain) {
+  // A cache hashes each page of its prompt once: a publish continues the
+  // chain from the attached pages' stored hashes instead of re-hashing from
+  // page 0. The continued chain must be the one a from-scratch hash gives.
+  const Index s = 256, d = 16, P = 64;
+  const AttentionInput warm_in = random_input(s, s, d, 0x4d1ull);
+  AttentionInput cold_in = random_input(128, 128, d, 0x4d2ull);
+  for (Index r = 0; r < 128; ++r) {  // cold shares warm's first two pages
+    std::copy(warm_in.q.row(r).begin(), warm_in.q.row(r).end(), cold_in.q.row(r).begin());
+    std::copy(warm_in.k.row(r).begin(), warm_in.k.row(r).end(), cold_in.k.row(r).begin());
+    std::copy(warm_in.v.row(r).begin(), warm_in.v.row(r).end(), cold_in.v.row(r).begin());
+  }
+  auto arena = std::make_shared<KvPageArena>(d, P);
+
+  // A warm request probes before anything is published: a miss.
+  KVCache warm(d, arena);
+  Matrix warm_out(s, d);
+  ASSERT_EQ(warm.try_attach_prefix(warm_in, s, &warm_out), 0);
+
+  // 1. A cold request publishes its two pages.
+  KVCache cold(d, arena);
+  ASSERT_TRUE(chunked_flash_prefill(cold_in, 64, &cold).ok());
+  ASSERT_EQ(arena->prefix_entries(), 2);
+
+  // 2. The warm request re-probes (as the engine does when it schedules a
+  //    first chunk) and attaches them, computes the rest of its prompt, and
+  //    publishes only its own two pages.
+  ASSERT_EQ(warm.try_attach_prefix(warm_in, s, &warm_out), 128);
+  EXPECT_EQ(warm.k(0).data(), cold.k(0).data());
+  Matrix full;
+  flash_attention(warm_in, full);
+  std::copy(full.row(128).data(), full.data() + s * d, warm_out.row(128).data());
+  ASSERT_TRUE(warm.append_prefill(warm_in).ok());
+  EXPECT_EQ(warm.publish_prefix(warm_in, warm_out), 2);
+  EXPECT_EQ(arena->prefix_entries(), 4);
+  EXPECT_EQ(warm.shared_pages(), 4);
+  EXPECT_EQ(warm.publish_prefix(warm_in, warm_out), 0) << "no page is published twice";
+  EXPECT_EQ(cold.publish_prefix(cold_in, Matrix(128, d)), 0);
+  EXPECT_EQ(arena->prefix_entries(), 4);
+
+  // The index holds the from-scratch chain of warm's prompt, each link
+  // backed by a distinct page: cold's two, then warm's own two.
+  std::uint64_t chain = kPrefixChainSeed;
+  std::vector<Index> ids;
+  std::vector<float> rows(static_cast<std::size_t>(P * d));
+  for (Index pi = 0; pi < 4; ++pi) {
+    chain = prefix_chain_hash(chain, warm_in, pi * P, (pi + 1) * P);
+    const KvPageArena::PageRef ref = arena->prefix_lookup(chain, warm_in.k.row(pi * P).data(),
+                                                          warm_in.v.row(pi * P).data(), rows.data());
+    ASSERT_GE(ref.id, 0) << "page " << pi;
+    arena->release(ref.id);
+    ids.push_back(ref.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
+
+  // 3. A third request attaches warm's whole, longer chain, bit-identical.
+  KVCache third(d, arena);
+  Matrix out(s, d);
+  EXPECT_EQ(third.try_attach_prefix(warm_in, s, &out), s);
+  expect_bit_identical(warm_out, out, "third request's attached outputs");
+  for (Index j = 0; j < s; ++j) ASSERT_EQ(third.k(j).data(), warm.k(j).data()) << "slot " << j;
+}
+
 TEST(PrefixCache, LookupRejectsHashCollisionWithDifferentPayload) {
   // A chain-hash hit whose stored K/V bytes do not match the request's
   // content must be rejected (memcmp verification), not silently attached.

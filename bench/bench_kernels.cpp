@@ -4,10 +4,14 @@
 // equal density).
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <memory>
 #include <optional>
 
 #include "bench_common.h"
+#include "core/rng.h"
 #include "core/simd.h"
+#include "core/thread_pool.h"
 #include "attention/block_sparse.h"
 #include "attention/flash_attention.h"
 #include "attention/full_attention.h"
@@ -16,6 +20,7 @@
 #include "baselines/streaming_llm.h"
 #include "model/workload.h"
 #include "runtime/batch.h"
+#include "runtime/kv_cache.h"
 #include "sample_attention/sample_attention.h"
 
 namespace sattn {
@@ -35,7 +40,7 @@ void BM_FullAttention(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * in.sq() * in.sk() / 2);
 }
-BENCHMARK(BM_FullAttention)->Arg(512)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_FullAttention)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
 void BM_FlashAttention(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));
@@ -46,7 +51,7 @@ void BM_FlashAttention(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * in.sq() * in.sk() / 2);
 }
-BENCHMARK(BM_FlashAttention)->Arg(512)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_FlashAttention)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
 void BM_SampleAttentionPlan(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));
@@ -55,7 +60,7 @@ void BM_SampleAttentionPlan(benchmark::State& state) {
     benchmark::DoNotOptimize(plan.density);
   }
 }
-BENCHMARK(BM_SampleAttentionPlan)->Arg(512)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_SampleAttentionPlan)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
 void BM_SampleAttentionEndToEnd(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));
@@ -66,7 +71,7 @@ void BM_SampleAttentionEndToEnd(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * in.sq() * in.sk() / 2);
 }
-BENCHMARK(BM_SampleAttentionEndToEnd)->Arg(512)->Arg(1024)->Arg(2048);
+BENCHMARK(BM_SampleAttentionEndToEnd)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
 // Sparse kernel throughput as a function of kept density (window-only
 // masks of increasing width). Arg = window per-mille of S.
@@ -82,7 +87,8 @@ void BM_SparseKernelDensity(benchmark::State& state) {
   }
   state.counters["density"] = mask.density();
 }
-BENCHMARK(BM_SparseKernelDensity)->Arg(50)->Arg(125)->Arg(250)->Arg(500)->Arg(1000);
+BENCHMARK(BM_SparseKernelDensity)
+    ->Arg(50)->Arg(125)->Arg(250)->Arg(500)->Arg(1000)->UseRealTime();
 
 // Ablation: contiguous stripe runs vs scattered single columns at equal
 // column count — run compression lets the kernel absorb whole runs with one
@@ -175,8 +181,8 @@ void BM_SimdCompareFlash(benchmark::State& state) {
       state, [](const AttentionInput& in, Matrix& out) { flash_attention(in, out); },
       state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_SimdCompareFlash, false)->Arg(1024)->Arg(2048);
-BENCHMARK_TEMPLATE(BM_SimdCompareFlash, true)->Arg(1024)->Arg(2048);
+BENCHMARK_TEMPLATE(BM_SimdCompareFlash, false)->Arg(1024)->Arg(2048)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_SimdCompareFlash, true)->Arg(1024)->Arg(2048)->UseRealTime();
 
 template <bool kForceScalar>
 void BM_SimdCompareFull(benchmark::State& state) {
@@ -184,8 +190,8 @@ void BM_SimdCompareFull(benchmark::State& state) {
       state, [](const AttentionInput& in, Matrix& out) { full_attention(in, out); },
       state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_SimdCompareFull, false)->Arg(1024)->Arg(2048);
-BENCHMARK_TEMPLATE(BM_SimdCompareFull, true)->Arg(1024)->Arg(2048);
+BENCHMARK_TEMPLATE(BM_SimdCompareFull, false)->Arg(1024)->Arg(2048)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_SimdCompareFull, true)->Arg(1024)->Arg(2048)->UseRealTime();
 
 template <bool kForceScalar>
 void BM_SimdCompareSparseFlash(benchmark::State& state) {
@@ -197,8 +203,8 @@ void BM_SimdCompareSparseFlash(benchmark::State& state) {
       [&mask](const AttentionInput& in, Matrix& out) { sparse_flash_attention(in, mask, out); },
       s);
 }
-BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, false)->Arg(2048);
-BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, true)->Arg(2048);
+BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, false)->Arg(2048)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_SimdCompareSparseFlash, true)->Arg(2048)->UseRealTime();
 
 template <bool kForceScalar>
 void BM_SimdCompareSampleEndToEnd(benchmark::State& state) {
@@ -209,8 +215,8 @@ void BM_SimdCompareSampleEndToEnd(benchmark::State& state) {
       },
       state.range(0));
 }
-BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, false)->Arg(2048);
-BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, true)->Arg(2048);
+BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, false)->Arg(2048)->UseRealTime();
+BENCHMARK_TEMPLATE(BM_SimdCompareSampleEndToEnd, true)->Arg(2048)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Ragged-batch sweep vs a per-request kernel loop (docs/PERFORMANCE.md
@@ -350,6 +356,66 @@ void BM_RaggedBatchDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch * s);
 }
 BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32)->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Admission: the prefix chain hash against a memory-speed ceiling
+// (docs/PERFORMANCE.md "Admission"). A serving request's first prefix probe
+// hashes every full page of its prompt's Q, K and V rows
+// (KVCache::page_chain: page digests on the pool, then a serial fold). The
+// ceiling runs memcmp over the same bytes, split by page on the same pool:
+// a hash cannot read its input faster than memcmp compares it. Both are
+// rated in hashed bytes per wall second.
+
+constexpr Index kChainTokens = 4096, kChainDim = 64;
+
+AttentionInput chain_input() {
+  AttentionInput in;
+  in.q.resize(kChainTokens, kChainDim);
+  in.k.resize(kChainTokens, kChainDim);
+  in.v.resize(kChainTokens, kChainDim);
+  Rng rng(0xc4a1ull);
+  rng.fill_normal(in.q);
+  rng.fill_normal(in.k);
+  rng.fill_normal(in.v);
+  return in;
+}
+
+std::int64_t chain_bytes() {
+  return 3 * static_cast<std::int64_t>(kChainTokens * kChainDim) * sizeof(float);
+}
+
+void BM_PrefixChain(benchmark::State& state) {
+  const AttentionInput in = chain_input();
+  auto arena = std::make_shared<KvPageArena>(kChainDim);
+  const Index last_page = kChainTokens / arena->page_tokens() - 1;
+  for (auto _ : state) {
+    KVCache cache(kChainDim, arena);  // a fresh cache hashes the whole prompt
+    benchmark::DoNotOptimize(cache.page_chain(in, last_page));
+  }
+  state.SetBytesProcessed(state.iterations() * chain_bytes());
+}
+BENCHMARK(BM_PrefixChain)->UseRealTime();
+
+void BM_PrefixChainMemcmpCeiling(benchmark::State& state) {
+  const AttentionInput in = chain_input();
+  const AttentionInput copy = in;
+  const Index P = KvPageArena::kDefaultPageTokens;
+  const std::size_t page_bytes = static_cast<std::size_t>(P * kChainDim) * sizeof(float);
+  std::vector<int> diffs(static_cast<std::size_t>(kChainTokens / P));
+  for (auto _ : state) {
+    parallel_for(kChainTokens / P, [&](Index pi) {
+      const Index lo = pi * P;
+      diffs[static_cast<std::size_t>(pi)] =
+          std::memcmp(in.q.row(lo).data(), copy.q.row(lo).data(), page_bytes) |
+          std::memcmp(in.k.row(lo).data(), copy.k.row(lo).data(), page_bytes) |
+          std::memcmp(in.v.row(lo).data(), copy.v.row(lo).data(), page_bytes);
+    });
+    benchmark::DoNotOptimize(diffs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * chain_bytes());
+}
+BENCHMARK(BM_PrefixChainMemcmpCeiling)->UseRealTime();
 
 void BM_BigBird(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));

@@ -9,8 +9,10 @@
 #      block_sparse_test, sampling_test (Stage-1 reads K through
 #      mk::KvView), runtime_test's ChunkedPrefill suite (chunks run in
 #      place), engine_test's RaggedBatch parity (whole sweeps and lone
-#      sequences split into row blocks), chaos_engine_test,
-#      kv_page_test and audit_test.
+#      sequences split into row blocks) and SegmentedFill parity (prompt
+#      rows filled in pool blocks), chaos_engine_test, kv_page_test (incl.
+#      the chain hash's PrefixChain.* and the PrefixCacheFuzz.* page-size
+#      fuzz) and audit_test.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
 #      the concurrency-heavy binaries — core_test, sparse_kernel_test,
 #      sampling_test, obs_test, scheduler_test, accounting_test, engine_test,
@@ -68,14 +70,20 @@ for mode in 1 0; do
   # Ragged-batch parity must hold bit-exactly on both backends, including
   # RaggedBatch.LoneSequenceSplitIntoRowBlocksMatchesItsKernelBitExact: a
   # lone sequence's row blocks run on several workers at once.
-  SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" --gtest_filter='RaggedBatch.*'
+  # SegmentedFill.ParallelRowBlocksEqualTheSerialFill: prompt rows filled
+  # in pool blocks equal the serial fill, float for float.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" \
+    --gtest_filter='RaggedBatch.*:SegmentedFill.*'
   # Chaos harness: eviction-compacted caches must keep the sweep
   # bit-identical to the direct kernels on either backend, and the storm
   # invariants are backend-independent.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/chaos_engine_test"
   # Paged KV: flat-vs-paged kernel parity and the prefix-attach replay must
   # be bit-exact on both backends (the page table only changes addressing,
-  # never arithmetic).
+  # never arithmetic) — also over random page sizes and prefix splits
+  # (PrefixCacheFuzz.RandomPageSizesAndPrefixSplitsAttachBitIdentical). The
+  # chain hash's loads go through memcpy at any alignment and its tail path
+  # takes odd head dims (PrefixChain.OneBitFlipChangesItsPageAndEveryLaterChainOnly).
   SATTN_FORCE_SCALAR="$mode" "$build/tests/kv_page_test"
   # Quality auditor: the offline-parity pin (rate 1.0 == metrics/cra.h) must
   # hold on both backends — the audit's ground-truth score rows go through
@@ -112,8 +120,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$build_tsan/tests/scheduler_test"
 "$build_tsan/tests/accounting_test" --gtest_filter='-*Overhead*'
 # Serving engine: concurrent submitters against the intake lock, the loop
-# thread, and the ragged sweep's pool workers writing one sequence's row
-# blocks concurrently (RaggedBatch.LoneSequenceSplitIntoRowBlocks...).
+# thread, the ragged sweep's pool workers writing one sequence's row
+# blocks concurrently (RaggedBatch.LoneSequenceSplitIntoRowBlocks...), and
+# admission's prompt fill writing row blocks from the pool
+# (SegmentedFill.ParallelRowBlocksEqualTheSerialFill).
 "$build_tsan/tests/engine_test"
 # Chaos harness: fault storms with racing submitters/cancellers, the
 # watchdog's heartbeat atomics, and forced drains (docs/ROBUSTNESS.md,
@@ -132,7 +142,9 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$build_tsan/tests/audit_test" --gtest_filter='-*Overhead*'
 # KV page arena: alloc/retain/release/publish/lookup race from many threads
 # against the arena mutex; ConcurrentAllocReleaseIsClean is the dedicated
-# hammer (src/runtime/kv_page.h, "Thread safety").
+# hammer (src/runtime/kv_page.h, "Thread safety"). KVCache::page_chain
+# digests pages on the pool, each task writing its own chain slot before
+# the serial fold (PrefixChain.PageChainOnThePoolEqualsTheSerialFold).
 "$build_tsan/tests/kv_page_test"
 
 echo "sanitizer suite passed: thread (core_test, sparse_kernel_test, sampling_test, obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test)"

@@ -9,6 +9,7 @@
 #include <limits>
 
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "obs/accounting.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -38,37 +39,13 @@ void fill_matrix(Matrix& m, Rng& rng) {
   }
 }
 
-// Segment-keyed content (requests with ServingRequest::segments): row r of
-// each stream depends only on (engine seed, segment key, absolute position
-// r), so two requests whose prompts start with the same segment sequence
-// produce bit-identical leading rows — the invariant the prefix cache's
-// content-hash chain verifies before sharing pages. Tokens past the declared
-// segments are keyed by the request id (private content). Segment-less
-// requests keep the original sequential per-request fill, bit-identical to
-// the pre-paging engine.
 void fill_row(std::span<float> row, std::uint64_t key) {
   Rng rng(key);
   for (float& x : row) x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
 }
 
-void fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed) {
-  const Index s = in.sq();
-  Index r = 0;
-  const auto fill_rows = [&](std::uint64_t base, Index hi) {
-    for (; r < hi; ++r) {
-      std::uint64_t h = base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(r) + 1));
-      h *= 0x100000001b3ull;
-      fill_row(in.q.row(r), h ^ 0x51ull);
-      fill_row(in.k.row(r), h ^ 0x4bull);
-      fill_row(in.v.row(r), h ^ 0x56ull);
-    }
-  };
-  for (const ContentSegment& seg : req.segments) {
-    if (r >= s) break;
-    fill_rows(mix_id(seed, "seg/" + seg.key), std::min(s, r + std::max<Index>(0, seg.tokens)));
-  }
-  fill_rows(mix_id(seed, "req/" + req.id), s);
-}
+// Rows per pool work item of fill_segmented.
+constexpr Index kFillBlockRows = 64;
 
 // Scorecard attribution for the shadow audit: serving requests are
 // single-head synthetic workloads, so each hashes to a stable pseudo-head
@@ -85,6 +62,38 @@ double wall_seconds(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
+
+// Row r of each stream is keyed by (engine seed, segment key, r) alone, so
+// the rows fill in parallel blocks: the segments' row ranges and keys
+// resolve serially first, then the pool fills kFillBlockRows-row blocks.
+void fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed) {
+  struct Range {
+    Index lo = 0, hi = 0;
+    std::uint64_t base = 0;
+  };
+  const Index s = in.sq();
+  std::vector<Range> ranges;
+  Index r = 0;
+  for (const ContentSegment& seg : req.segments) {
+    if (r >= s) break;
+    const Index hi = std::min(s, r + std::max<Index>(0, seg.tokens));
+    ranges.push_back({r, hi, mix_id(seed, "seg/" + seg.key)});
+    r = hi;
+  }
+  ranges.push_back({r, s, mix_id(seed, "req/" + req.id)});
+  parallel_for((s + kFillBlockRows - 1) / kFillBlockRows, [&](Index b) {
+    const Index lo = b * kFillBlockRows, hi = std::min(s, lo + kFillBlockRows);
+    for (const Range& rg : ranges) {
+      for (Index row = std::max(lo, rg.lo); row < std::min(hi, rg.hi); ++row) {
+        std::uint64_t h = rg.base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(row) + 1));
+        h *= 0x100000001b3ull;
+        fill_row(in.q.row(row), h ^ 0x51ull);
+        fill_row(in.k.row(row), h ^ 0x4bull);
+        fill_row(in.v.row(row), h ^ 0x56ull);
+      }
+    }
+  });
+}
 
 // One in-flight request. Owned exclusively by the loop thread after
 // admission; submitters never see it.
@@ -447,6 +456,10 @@ void ServingEngine::admit(std::vector<ServingRequest> arrivals) {
     lr->req = std::move(req);
     lr->admit_seq = admit_seq_++;
     lr->active = opts_.kv_budget_bytes <= 0.0;  // budget gate (gate_kv_budget)
+    // Allocation, synthesis and the first probe, billed to queue; the span
+    // shows them in the request's trace lane.
+    obs::RequestContext ctx(request_key(opts_.run_label, lr->req.id));
+    SATTN_SPAN("engine/admit");
     const Index s = lr->req.prompt_tokens, d = opts_.head_dim;
     lr->in.q.resize(s, d);
     lr->in.k.resize(s, d);

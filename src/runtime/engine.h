@@ -74,6 +74,16 @@ namespace sattn {
 
 enum class EngineMode { kDense, kSampleAttention };
 
+// Segment-keyed synthetic prompt content (requests with
+// ServingRequest::segments): row r of Q, K and V depends only on (seed,
+// segment key, absolute position r), so two requests whose prompts start
+// with the same segment sequence produce bit-identical leading rows — the
+// invariant the prefix cache's content-hash chain verifies before sharing
+// pages. Tokens past the declared segments are keyed by the request id
+// (private content). Fills rows [0, in.sq()) of in.q, in.k and in.v, which
+// must be allocated; the rows fill in blocks on the thread pool.
+void fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed);
+
 // The ServingPolicy base carries the shared policy fields (max_queue_depth,
 // max_prompt_tokens, deadline_seconds, slo_ttft_seconds,
 // degrade_density_scale, max_retries, retry_backoff_seconds); the engine

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/thread_pool.h"
 #include "obs/trace.h"
 
 namespace sattn {
@@ -171,15 +172,19 @@ Status KVCache::keep_slots(std::span<const Index> sorted_slots) {
 
 std::uint64_t KVCache::page_chain(const AttentionInput& in, Index page) {
   if (chain_src_ != in.q.data()) {  // a different prompt: its own chain
-    chain_.clear();
     chain_src_ = in.q.data();
+    // Page digests are independent, so the pool hashes all full pages of
+    // the prompt at once; only the fold that chains them is serial.
+    const Index P = arena_->page_tokens();
+    const Index n = std::min(in.sq(), in.sk()) >> shift_;
+    chain_.assign(static_cast<std::size_t>(n), 0);
+    parallel_for(n, [&](Index pi) {
+      chain_[static_cast<std::size_t>(pi)] = prefix_page_digest(in, pi * P, (pi + 1) * P);
+    });
+    std::uint64_t h = kPrefixChainSeed;
+    for (std::uint64_t& link : chain_) link = h = prefix_chain_fold(h, link);
   }
-  const Index P = arena_->page_tokens();
-  while (static_cast<Index>(chain_.size()) <= page) {
-    const Index lo = static_cast<Index>(chain_.size()) * P;
-    chain_.push_back(
-        prefix_chain_hash(chain_.empty() ? kPrefixChainSeed : chain_.back(), in, lo, lo + P));
-  }
+  assert(page >= 0 && page < static_cast<Index>(chain_.size()));
   return chain_[static_cast<std::size_t>(page)];
 }
 
@@ -215,9 +220,9 @@ Index KVCache::publish_prefix(const AttentionInput& in, const Matrix& out) {
   // tokens [p*P, (p+1)*P).
   Index dense = 0;
   while (dense < size() && positions_[static_cast<std::size_t>(dense)] == dense) ++dense;
-  const Index full_pages = std::min(dense, std::min(in.sk(), out.rows())) >> shift_;
-  // Attached pages are already published; the chain continues past them
-  // from the hashes the probe computed.
+  const Index full_pages = std::min({dense, in.sq(), in.sk(), out.rows()}) >> shift_;
+  // Attached pages are already published; the chain past them is the one
+  // the probe already computed.
   Index published = 0;
   for (Index pi = shared_pages_; pi < full_pages; ++pi) {
     if (!arena_->prefix_publish(page_chain(in, pi), pages_[static_cast<std::size_t>(pi)],

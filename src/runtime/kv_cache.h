@@ -123,10 +123,15 @@ class KVCache {
   // ---- Prefix sharing (runtime/kv_page.h) -------------------------------
 
   // A cache serves one prompt: every call below is given the same input,
-  // whose rows do not change while the cache lives. Page p's chain hash
-  // depends only on rows [0, (p+1)*P) of it, so the cache hashes each page
-  // once, when a probe or a publish first needs it, and keeps the chain:
-  // re-probes reuse it and a publish continues it past the attached pages.
+  // whose rows do not change while the cache lives. The first call hashes
+  // every full page of the prompt — the page digests on the thread pool,
+  // then the serial chain fold (runtime/kv_page.h) — and the cache keeps
+  // the chain: re-probes and publishes read it and hash nothing.
+
+  // Chain hash of page `page` of `in`: prefix_chain_hash folded over its
+  // pages 0..page. `page` must be a full page of the prompt
+  // (< min(in.sq(), in.sk()) / page_tokens).
+  std::uint64_t page_chain(const AttentionInput& in, Index page);
 
   // Probes the arena's prefix index with the chain hashes of `in`'s leading
   // full pages and attaches every hit (K/V verified against `in`'s own rows
@@ -146,9 +151,6 @@ class KVCache {
   Index publish_prefix(const AttentionInput& in, const Matrix& out);
 
  private:
-  // Chain hash of page `page` of `in` (prefix_chain_hash over its pages
-  // 0..page), computed at most once per page.
-  std::uint64_t page_chain(const AttentionInput& in, Index page);
   void push_page(const KvPageArena::PageRef& ref);
   void release_all_pages();
 
@@ -161,7 +163,7 @@ class KVCache {
   std::vector<float*> v_ptrs_;
   Index shared_pages_ = 0;     // leading immutable pages from the index
   std::vector<Index> positions_;
-  std::vector<std::uint64_t> chain_;  // chain hashes of the prompt's pages 0..n-1
+  std::vector<std::uint64_t> chain_;  // chain hashes of the prompt's full pages
   const float* chain_src_ = nullptr;  // the prompt chain_ was computed from
 };
 

@@ -17,13 +17,73 @@ Index log2_of(Index v) {
   return s;
 }
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+// XXH64 (Collet): four independent multiply-rotate lanes over 32-byte
+// stripes, a lane merge, the 8/4/1-byte tail folded in, and a final
+// avalanche. Loads go through memcpy, so any alignment is fine.
+constexpr std::uint64_t kP1 = 0x9e3779b185ebca87ull;
+constexpr std::uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+constexpr std::uint64_t kP3 = 0x165667b19e3779f9ull;
+constexpr std::uint64_t kP4 = 0x85ebca77c2b2ae63ull;
+constexpr std::uint64_t kP5 = 0x27d4eb2f165667c5ull;
+
+std::uint64_t rotl(std::uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
+
+std::uint64_t load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint32_t load32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+std::uint64_t round64(std::uint64_t acc, std::uint64_t word) {
+  return rotl(acc + word * kP2, 31) * kP1;
+}
+
+std::uint64_t merge64(std::uint64_t h, std::uint64_t lane) {
+  return (h ^ round64(0, lane)) * kP1 + kP4;
+}
+
+std::uint64_t avalanche(std::uint64_t h) {
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  return h ^ (h >> 32);
+}
+
+std::uint64_t xxh64(const void* data, std::size_t n, std::uint64_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<std::uint64_t>(p[i]);
-    h *= 0x100000001b3ull;
+  const unsigned char* const end = p + n;
+  std::uint64_t h;
+  if (n >= 32) {
+    std::uint64_t v1 = seed + kP1 + kP2, v2 = seed + kP2, v3 = seed, v4 = seed - kP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = round64(v1, load64(p));
+      v2 = round64(v2, load64(p + 8));
+      v3 = round64(v3, load64(p + 16));
+      v4 = round64(v4, load64(p + 24));
+    }
+    h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    h = merge64(h, v1);
+    h = merge64(h, v2);
+    h = merge64(h, v3);
+    h = merge64(h, v4);
+  } else {
+    h = seed + kP5;
   }
-  return h;
+  h += n;
+  for (; end - p >= 8; p += 8) h = rotl(h ^ round64(0, load64(p)), 27) * kP1 + kP4;
+  if (end - p >= 4) {
+    h = rotl(h ^ (std::uint64_t{load32(p)} * kP1), 23) * kP2 + kP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = rotl(h ^ (std::uint64_t{*p} * kP5), 11) * kP1;
+  return avalanche(h);
 }
 
 }  // namespace
@@ -178,13 +238,23 @@ double KvPageArena::prefix_index_bytes() const {
   return bytes;
 }
 
+std::uint64_t prefix_page_digest(const AttentionInput& in, Index lo, Index hi) {
+  assert(0 <= lo && lo <= hi && hi <= in.sq() && hi <= in.sk());
+  // Matrix rows are contiguous, so each stream's rows [lo, hi) are one span.
+  const auto d = static_cast<std::size_t>(in.head_dim());
+  const std::size_t first = static_cast<std::size_t>(lo) * d;
+  const std::size_t bytes = static_cast<std::size_t>(hi - lo) * d * sizeof(float);
+  std::uint64_t h = xxh64(in.q.data() + first, bytes, 0);
+  h = xxh64(in.k.data() + first, bytes, h);
+  return xxh64(in.v.data() + first, bytes, h);
+}
+
+std::uint64_t prefix_chain_fold(std::uint64_t prev, std::uint64_t digest) {
+  return avalanche(rotl(prev ^ round64(0, digest), 27) * kP1 + kP4);
+}
+
 std::uint64_t prefix_chain_hash(std::uint64_t prev, const AttentionInput& in, Index lo, Index hi) {
-  const std::size_t row_bytes = static_cast<std::size_t>(in.head_dim()) * sizeof(float);
-  std::uint64_t h = prev;
-  for (Index r = lo; r < hi; ++r) h = fnv1a(h, in.q.row(r).data(), row_bytes);
-  for (Index r = lo; r < hi; ++r) h = fnv1a(h, in.k.row(r).data(), row_bytes);
-  for (Index r = lo; r < hi; ++r) h = fnv1a(h, in.v.row(r).data(), row_bytes);
-  return h;
+  return prefix_chain_fold(prev, prefix_page_digest(in, lo, hi));
 }
 
 }  // namespace sattn

@@ -138,11 +138,20 @@ class KvPageArena {
   std::unordered_map<std::uint64_t, PrefixEntry> prefix_;
 };
 
-// FNV-1a chain hash over the Q, K and V row bytes of tokens [lo, hi) of a
-// prefill input, chained with `prev` (seed the chain with
-// kPrefixChainSeed). Identical declared content yields identical chains,
-// which is what makes cross-request prefix hits sound.
+// Prefix chain hash. A page's digest is a 64-bit XXH64 word hash over the
+// Q, K and V row bytes of its tokens [lo, hi) and depends on nothing else,
+// so the digests of a prompt's pages can be computed in parallel. The chain
+// folds them in page order, seeded with kPrefixChainSeed:
+//   chain(p) = prefix_chain_fold(chain(p - 1), prefix_page_digest(page p)),
+// so a page's chain value commits to its whole prefix. The fold is a
+// bijection in each argument followed by a full avalanche. Q is trusted to
+// this hash (see "Sharing rules"), so both steps stay full-strength 64-bit
+// mixes. Identical declared content yields identical chains, which is what
+// makes cross-request prefix hits sound.
 inline constexpr std::uint64_t kPrefixChainSeed = 0xcbf29ce484222325ull;
+std::uint64_t prefix_page_digest(const AttentionInput& in, Index lo, Index hi);
+std::uint64_t prefix_chain_fold(std::uint64_t prev, std::uint64_t digest);
+// prefix_chain_fold(prev, prefix_page_digest(in, lo, hi)).
 std::uint64_t prefix_chain_hash(std::uint64_t prev, const AttentionInput& in, Index lo, Index hi);
 
 }  // namespace sattn

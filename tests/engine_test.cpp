@@ -322,6 +322,83 @@ TEST(FormStep, DeterministicAcrossSnapshotOrderings) {
 }
 
 // ---------------------------------------------------------------------------
+// Segment-keyed prompt synthesis.
+
+// The serial fill the engine ran before rows were filled in pool blocks:
+// one pass over the segments, then the request-private tail, one row at a
+// time from its own key.
+std::uint64_t reference_mix_id(std::uint64_t seed, const std::string& id) {
+  std::uint64_t h = seed ^ 0x9e3779b97f4a7c15ull;
+  for (const char ch : id) {
+    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(ch));
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+void reference_fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed) {
+  const auto fill_row = [](std::span<float> row, std::uint64_t key) {
+    Rng rng(key);
+    for (float& x : row) x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+  };
+  const Index s = in.sq();
+  Index r = 0;
+  const auto fill_rows = [&](std::uint64_t base, Index hi) {
+    for (; r < hi; ++r) {
+      std::uint64_t h = base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(r) + 1));
+      h *= 0x100000001b3ull;
+      fill_row(in.q.row(r), h ^ 0x51ull);
+      fill_row(in.k.row(r), h ^ 0x4bull);
+      fill_row(in.v.row(r), h ^ 0x56ull);
+    }
+  };
+  for (const ContentSegment& seg : req.segments) {
+    if (r >= s) break;
+    fill_rows(reference_mix_id(seed, "seg/" + seg.key),
+              std::min(s, r + std::max<Index>(0, seg.tokens)));
+  }
+  fill_rows(reference_mix_id(seed, "req/" + req.id), s);
+}
+
+TEST(SegmentedFill, ParallelRowBlocksEqualTheSerialFill) {
+  // fill_segmented fills row blocks on the pool; every float must equal
+  // the serial fill's. Cases: one-row prompts, 0-token and negative
+  // segments, segments that run past the prompt, segment boundaries inside
+  // and between blocks, and a private tail.
+  struct Case {
+    Index tokens;
+    std::vector<ContentSegment> segs;
+  };
+  const std::vector<Case> cases = {
+      {1, {{"sys", 64}}},
+      {1, {{"empty", 0}, {"sys", 1}}},
+      {1, {{"short", 0}}},
+      {300, {{"sys", 100}, {"empty", 0}, {"neg", -5}, {"conv", 37}}},
+      {300, {{"sys", 128}, {"conv", 64}}},
+      {257, {{"sys", 200}, {"past", 500}, {"never", 10}}},
+      {1000, {{"sys", 999}}},
+      {130, {{"a", 1}, {"b", 1}, {"c", 1}, {"d", 63}, {"e", 64}}},
+  };
+  const Index d = 24;
+  for (const Case& c : cases) {
+    const ServingRequest req("r/" + std::to_string(c.tokens), c.tokens, 0.0, c.segs);
+    AttentionInput got, want;
+    for (AttentionInput* in : {&got, &want}) {
+      in->q.resize(c.tokens, d);
+      in->k.resize(c.tokens, d);
+      in->v.resize(c.tokens, d);
+    }
+    fill_segmented(got, req, 0x5eedull);
+    reference_fill_segmented(want, req, 0x5eedull);
+    for (const auto& [g, w] : {std::pair{&got.q, &want.q}, {&got.k, &want.k}, {&got.v, &want.v}}) {
+      for (Index i = 0; i < g->size(); ++i) {
+        ASSERT_EQ(g->data()[i], w->data()[i]) << req.id << " float " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Serving engine.
 
 // Obs fixture: metrics collection on and registries clean, restored after,
@@ -421,6 +498,28 @@ TEST_F(EngineObs, TtftAttributionHoldsAcrossLiveBatch) {
     EXPECT_NEAR(gauge(base + "ttft_s"), b.ttft(), 1e-12) << b.request.id;
     EXPECT_NEAR(gauge(base + "compute_s"), b.compute_seconds, 1e-12) << b.request.id;
   }
+}
+
+TEST_F(EngineObs, EveryAdmittedRequestRecordsOneAdmitSpanInItsLane) {
+  // Admission (allocation, synthesis, the first prefix probe) is billed to
+  // queue; its engine/admit span, tagged with the request key, is what
+  // shows it in the trace. A door shed is never admitted and has none.
+  EngineOptions opts = small_engine();  // run_label "t"
+  opts.max_prompt_tokens = 512;
+  const std::vector<ContentSegment> sys = {{"sys", 128}};
+  const std::vector<ServingRequest> trace = {
+      {"a", 192, 0.0, sys}, {"b", 256, 0.0, sys}, {"c", 64, 0.0}, {"door", 1024, 0.0}};
+  ServingEngine engine(opts);
+  const EngineResult res = engine.run_trace(trace);
+  ASSERT_EQ(res.completed.size(), 3u);
+  ASSERT_EQ(res.shed.size(), 1u);
+
+  std::map<std::string, int> admits;
+  for (const obs::SpanRecord& sp : obs::Collector::global().spans()) {
+    if (sp.name == "engine/admit") ++admits[sp.request_id];
+  }
+  const std::map<std::string, int> want = {{"t/a", 1}, {"t/b", 1}, {"t/c", 1}};
+  EXPECT_EQ(admits, want);
 }
 
 TEST(ServingEngineTest, DegradeLadderSteersAgainstProjectedSlo) {

@@ -1,7 +1,8 @@
 // Tests for the paged KV arena (runtime/kv_page.h) and the paged KVCache
 // (runtime/kv_cache.h): refcount/freelist correctness, page-granular
 // eviction, copy-on-write divergence after a shared prefix, counted-once
-// byte accounting, the content-hash prefix index, and — the load-bearing
+// byte accounting, the content-hash prefix index and its chain hash, a
+// seeded fuzz over page sizes and prefix splits, and — the load-bearing
 // contract — bit-identical kernel reads through the page table for the
 // dense, sparse and block-sparse kernels plus decode.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "attention/flash_attention.h"
 #include "attention/sparse_flash_attention.h"
 #include "core/rng.h"
+#include "core/thread_pool.h"
 #include "runtime/chunked_prefill.h"
 #include "runtime/eviction.h"
 #include "runtime/kv_cache.h"
@@ -467,6 +469,172 @@ TEST(PrefixCache, LookupRejectsHashCollisionWithDifferentPayload) {
     std::memcpy(v_ok.data() + static_cast<std::size_t>(r) * d, in.v.row(r).data(),
                 static_cast<std::size_t>(d) * sizeof(float));
   EXPECT_LT(arena->prefix_lookup(chain, k_wrong.data(), v_ok.data(), out_rows.data()).id, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Chain hash: per-page digests folded in page order.
+
+// Serial chain of `in`'s full pages, one prefix_chain_hash per page.
+std::vector<std::uint64_t> serial_chain(const AttentionInput& in, Index P) {
+  std::vector<std::uint64_t> chain;
+  std::uint64_t h = kPrefixChainSeed;
+  for (Index lo = 0; lo + P <= std::min(in.sq(), in.sk()); lo += P) {
+    h = prefix_chain_hash(h, in, lo, lo + P);
+    chain.push_back(h);
+  }
+  return chain;
+}
+
+TEST(PrefixChain, OneBitFlipChangesItsPageAndEveryLaterChainOnly) {
+  // A flipped bit in any Q, K or V row of page 2 changes page 2's chain
+  // value and every later one, and leaves pages 0-1 alone. Head dim 3 puts
+  // the flipped bytes in the hash's 8- and 4-byte tail paths for small
+  // pages; head dim 64 keeps them in the 32-byte stripes.
+  constexpr Index kPages = 5, kTarget = 2;
+  for (const Index d : {Index{3}, Index{64}}) {
+    for (const Index P : {Index{1}, Index{4}, Index{16}}) {
+      const AttentionInput in = random_input(kPages * P, kPages * P, d, 0x5e1ull + d * 131 + P);
+      const std::vector<std::uint64_t> base = serial_chain(in, P);
+      ASSERT_EQ(static_cast<Index>(base.size()), kPages);
+      for (int stream = 0; stream < 3; ++stream) {
+        for (const Index row : {kTarget * P, kTarget * P + P / 2, kTarget * P + P - 1}) {
+          for (const Index col : {Index{0}, d - 1}) {
+            for (const int bit : {0, 31}) {
+              AttentionInput flipped = in;
+              Matrix& m = stream == 0 ? flipped.q : stream == 1 ? flipped.k : flipped.v;
+              std::uint32_t word;
+              std::memcpy(&word, &m(row, col), sizeof word);
+              word ^= std::uint32_t{1} << bit;
+              std::memcpy(&m(row, col), &word, sizeof word);
+              const std::vector<std::uint64_t> got = serial_chain(flipped, P);
+              const auto where = ::testing::Message() << "d " << d << " P " << P << " stream "
+                                                      << stream << " row " << row << " col "
+                                                      << col << " bit " << bit;
+              for (Index p = 0; p < kPages; ++p) {
+                if (p < kTarget) {
+                  EXPECT_EQ(got[p], base[p]) << where << " page " << p;
+                } else {
+                  EXPECT_NE(got[p], base[p]) << where << " page " << p;
+                }
+                // A digest reads only its own page.
+                EXPECT_EQ(prefix_page_digest(flipped, p * P, (p + 1) * P) ==
+                              prefix_page_digest(in, p * P, (p + 1) * P),
+                          p != kTarget)
+                    << where << " page " << p;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PrefixChain, PageChainOnThePoolEqualsTheSerialFold) {
+  // KVCache::page_chain digests all full pages of its prompt on the global
+  // pool, then folds them; every link must equal the page-by-page serial
+  // chain, including prompts that end in a partial page (not hashed).
+  const Index d = 16, P = 64;
+  for (const Index s : {Index{64}, Index{65}, Index{1000}, Index{4096 + 17}}) {
+    const AttentionInput in = random_input(s, s, d, 0x6a1ull + s);
+    const std::vector<std::uint64_t> serial = serial_chain(in, P);
+    ASSERT_EQ(static_cast<Index>(serial.size()), s / P);
+    std::uint64_t h = kPrefixChainSeed;
+    for (Index p = 0; p < s / P; ++p) {
+      h = prefix_chain_fold(h, prefix_page_digest(in, p * P, (p + 1) * P));
+      ASSERT_EQ(h, serial[p]) << "s " << s << " page " << p;
+    }
+    KVCache cache(d, std::make_shared<KvPageArena>(d, P));
+    // Ask for the last page first: the first call hashes the whole prompt.
+    EXPECT_EQ(cache.page_chain(in, s / P - 1), serial.back())
+        << "s " << s << " on a pool of " << ThreadPool::global().size();
+    for (Index p = 0; p < s / P; ++p) {
+      ASSERT_EQ(cache.page_chain(in, p), serial[p]) << "s " << s << " page " << p;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Seeded fuzz: random page sizes and prefix splits.
+
+TEST(PrefixCacheFuzz, RandomPageSizesAndPrefixSplitsAttachBitIdentical) {
+  // Each case draws a power-of-two page size P in [1, 128], a cold prompt A
+  // and a warm prompt B whose first `split` rows are A's. A's chunked
+  // prefill publishes its full pages; B's attaches exactly the full pages
+  // inside the shared prefix. Attached outputs are A's outputs bit for
+  // bit, B's computed rows equal one flash call over them, K/V read
+  // through B's page table equal its flat rows, and once both caches die
+  // only the index's pages stay live.
+  Rng draw(0xf0221ull);
+  for (int c = 0; c < 32; ++c) {
+    const Index P = Index{1} << draw.uniform_index(8);
+    const Index d = 8;
+    const Index len_a = 1 + draw.uniform_index(600);
+    const Index split = draw.uniform_index(len_a + 1);
+    // One case in four is all shared prefix: B is a leading part of A.
+    const Index tail = draw.uniform_index(4) == 0 ? 0 : draw.uniform_index(200);
+    const Index len_b = std::max<Index>(1, split + tail);
+    const Index chunk = 4 * (1 + draw.uniform_index(32));
+    const auto where = ::testing::Message() << "case " << c << " P " << P << " A " << len_a
+                                            << " split " << split << " B " << len_b
+                                            << " chunk " << chunk;
+    const AttentionInput a = random_input(len_a, len_a, d, 0xa000ull + c);
+    AttentionInput b = random_input(len_b, len_b, d, 0xb000ull + c);
+    for (Index r = 0; r < std::min(split, len_b); ++r) {
+      std::copy(a.q.row(r).begin(), a.q.row(r).end(), b.q.row(r).begin());
+      std::copy(a.k.row(r).begin(), a.k.row(r).end(), b.k.row(r).begin());
+      std::copy(a.v.row(r).begin(), a.v.row(r).end(), b.v.row(r).begin());
+    }
+    auto arena = std::make_shared<KvPageArena>(d, P);
+    {
+      KVCache cold(d, arena);
+      const auto ares = chunked_flash_prefill(a, chunk, &cold);
+      ASSERT_TRUE(ares.ok()) << where;
+      EXPECT_EQ(ares->prefix_hit_tokens, 0) << where;
+      EXPECT_EQ(arena->prefix_entries(), len_a / P) << where;
+
+      KVCache warm(d, arena);
+      const auto bres = chunked_flash_prefill(b, chunk, &warm);
+      ASSERT_TRUE(bres.ok()) << where;
+      const Index hit = std::min(split, len_b) / P * P;
+      ASSERT_EQ(bres->prefix_hit_tokens, hit) << where;
+      EXPECT_EQ(warm.shared_pages(), len_b / P) << where << ": attached + published";
+      for (Index r = 0; r < hit; ++r) {
+        ASSERT_EQ(std::memcmp(bres->out.row(r).data(), ares->out.row(r).data(), d * sizeof(float)),
+                  0)
+            << where << " attached row " << r;
+        ASSERT_EQ(warm.k(r).data(), cold.k(r).data()) << where << " slot " << r;
+      }
+      // Rows past the hit are one flash call over the rest of the prompt
+      // (chunks are multiples of 4 rows, so each keeps its 4-row group),
+      // and A's rows, which B attached, are one-shot flash from row 0.
+      {
+        Matrix ref_a;
+        flash_attention(a, ref_a);
+        expect_bit_identical(ref_a, ares->out, "cold prompt vs one-shot flash");
+        Matrix ref_b(len_b, d), got_b(len_b, d);
+        const std::size_t skip = static_cast<std::size_t>(hit * d);
+        flash_attention(b.q.data() + skip, len_b - hit, mk::KvView::of(b), len_b,
+                        ref_b.data() + skip);
+        std::copy(bres->out.data() + skip, bres->out.data() + len_b * d, got_b.data() + skip);
+        expect_bit_identical(ref_b, got_b, "warm prompt's computed rows vs one flash call");
+      }
+
+      // Flat-vs-paged parity over B's page table: every row's prefill and a
+      // decode row against the whole cache.
+      ASSERT_EQ(warm.size(), len_b) << where;
+      Matrix flat(len_b, d), paged(len_b, d);
+      flash_rows(b.q.data(), len_b, mk::KvView::of(b), len_b, 0, flat.data(), d);
+      flash_rows(b.q.data(), len_b, warm.view(), len_b, 0, paged.data(), d);
+      expect_bit_identical(flat, paged, "flat vs paged");
+
+      // Live pages: A's, plus B's pages past the attached prefix.
+      const Index pages_a = (len_a + P - 1) / P, pages_b = (len_b + P - 1) / P;
+      EXPECT_EQ(arena->pages_live(), pages_a + pages_b - hit / P) << where;
+    }
+    EXPECT_EQ(arena->pages_live(), arena->prefix_entries()) << where << ": leaked pages";
+    EXPECT_EQ(arena->pages_allocated() - arena->pages_freed(), arena->pages_live()) << where;
+  }
 }
 
 }  // namespace

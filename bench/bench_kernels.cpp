@@ -7,6 +7,8 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/rng.h"
@@ -359,61 +361,47 @@ BENCHMARK(BM_RaggedBatchDecode)->Arg(8)->Arg(32)->UseRealTime();
 
 // ---------------------------------------------------------------------------
 // Admission: the prefix chain hash against a memory-speed ceiling
-// (docs/PERFORMANCE.md "Admission"). A serving request's first prefix probe
-// hashes every full page of its prompt's Q, K and V rows
-// (KVCache::page_chain: page digests on the pool, then a serial fold). The
-// ceiling runs memcmp over the same bytes, split by page on the same pool:
-// a hash cannot read its input faster than memcmp compares it. Both are
-// rated in hashed bytes per wall second.
+// (docs/PERFORMANCE.md "Admission"). A serving request's prefix probe
+// chains its prompt's row keys page by page (one XXH64 digest per page of
+// keys, folded serially); a 4096-token prompt is 64 pages of 64 keys, 32 KiB.
+// The ceiling runs memcmp over the same 32 KiB: a hash cannot read its
+// input faster than memcmp compares it. Both are rated in key bytes per
+// wall second, on the calling thread alone.
 
-constexpr Index kChainTokens = 4096, kChainDim = 64;
+constexpr Index kChainTokens = 4096;
 
-AttentionInput chain_input() {
-  AttentionInput in;
-  in.q.resize(kChainTokens, kChainDim);
-  in.k.resize(kChainTokens, kChainDim);
-  in.v.resize(kChainTokens, kChainDim);
+std::vector<std::uint64_t> chain_keys() {
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(kChainTokens));
   Rng rng(0xc4a1ull);
-  rng.fill_normal(in.q);
-  rng.fill_normal(in.k);
-  rng.fill_normal(in.v);
-  return in;
-}
-
-std::int64_t chain_bytes() {
-  return 3 * static_cast<std::int64_t>(kChainTokens * kChainDim) * sizeof(float);
+  for (std::uint64_t& k : keys) k = rng.next_u64();
+  return keys;
 }
 
 void BM_PrefixChain(benchmark::State& state) {
-  const AttentionInput in = chain_input();
-  auto arena = std::make_shared<KvPageArena>(kChainDim);
-  const Index last_page = kChainTokens / arena->page_tokens() - 1;
+  const std::vector<std::uint64_t> keys = chain_keys();
+  const std::size_t P = KvPageArena::kDefaultPageTokens;
   for (auto _ : state) {
-    KVCache cache(kChainDim, arena);  // a fresh cache hashes the whole prompt
-    benchmark::DoNotOptimize(cache.page_chain(in, last_page));
+    std::uint64_t h = kPrefixChainSeed;
+    for (std::size_t lo = 0; lo < keys.size(); lo += P) {
+      h = prefix_chain_fold(h, prefix_page_digest(std::span(keys).subspan(lo, P)));
+    }
+    benchmark::DoNotOptimize(h);
   }
-  state.SetBytesProcessed(state.iterations() * chain_bytes());
+  state.SetBytesProcessed(state.iterations() * kChainTokens *
+                          static_cast<std::int64_t>(sizeof(std::uint64_t)));
 }
 BENCHMARK(BM_PrefixChain)->UseRealTime();
 
 void BM_PrefixChainMemcmpCeiling(benchmark::State& state) {
-  const AttentionInput in = chain_input();
-  const AttentionInput copy = in;
-  const Index P = KvPageArena::kDefaultPageTokens;
-  const std::size_t page_bytes = static_cast<std::size_t>(P * kChainDim) * sizeof(float);
-  std::vector<int> diffs(static_cast<std::size_t>(kChainTokens / P));
+  const std::vector<std::uint64_t> keys = chain_keys();
+  const std::vector<std::uint64_t> copy = keys;
   for (auto _ : state) {
-    parallel_for(kChainTokens / P, [&](Index pi) {
-      const Index lo = pi * P;
-      diffs[static_cast<std::size_t>(pi)] =
-          std::memcmp(in.q.row(lo).data(), copy.q.row(lo).data(), page_bytes) |
-          std::memcmp(in.k.row(lo).data(), copy.k.row(lo).data(), page_bytes) |
-          std::memcmp(in.v.row(lo).data(), copy.v.row(lo).data(), page_bytes);
-    });
-    benchmark::DoNotOptimize(diffs.data());
+    benchmark::DoNotOptimize(
+        std::memcmp(keys.data(), copy.data(), keys.size() * sizeof(std::uint64_t)));
     benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(state.iterations() * chain_bytes());
+  state.SetBytesProcessed(state.iterations() * kChainTokens *
+                          static_cast<std::int64_t>(sizeof(std::uint64_t)));
 }
 BENCHMARK(BM_PrefixChainMemcmpCeiling)->UseRealTime();
 

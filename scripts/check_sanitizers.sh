@@ -4,13 +4,17 @@
 #   1. ASan+UBSan: builds a side tree with -DSATTN_SANITIZE=address,undefined
 #      (CMakeLists.txt adds float-cast-overflow, which GCC leaves out of
 #      `undefined`) and runs the full ctest suite; any report fails the run.
+#      That includes telemetry_test's JsonFuzz.* (seeded mutations of a
+#      telemetry NDJSON line through the JSON parser).
 #  1b. The kernel-heavy suites again under ASan+UBSan, once per SIMD
 #      backend: simd_kernel_test, attention_test, sparse_kernel_test,
 #      block_sparse_test, sampling_test (Stage-1 reads K through
 #      mk::KvView), runtime_test's ChunkedPrefill suite (chunks run in
 #      place), engine_test's RaggedBatch parity (whole sweeps and lone
-#      sequences split into row blocks) and SegmentedFill parity (prompt
-#      rows filled in pool blocks), chaos_engine_test, kv_page_test (incl.
+#      sequences split into row blocks), SegmentedFill parity (prompt rows
+#      synthesized in pool blocks into cache pages) and EnginePrefix.*
+#      (published pages read back by row keys equal flash over the filled
+#      prompt; where synthesis happens), chaos_engine_test, kv_page_test (incl.
 #      the chain hash's PrefixChain.* and the PrefixCacheFuzz.* page-size
 #      fuzz) and audit_test.
 #   2. TSan: builds a second side tree with -DSATTN_SANITIZE=thread and runs
@@ -70,10 +74,13 @@ for mode in 1 0; do
   # Ragged-batch parity must hold bit-exactly on both backends, including
   # RaggedBatch.LoneSequenceSplitIntoRowBlocksMatchesItsKernelBitExact: a
   # lone sequence's row blocks run on several workers at once.
-  # SegmentedFill.ParallelRowBlocksEqualTheSerialFill: prompt rows filled
-  # in pool blocks equal the serial fill, float for float.
+  # SegmentedFill.*: prompt rows synthesized in pool blocks, K/V straight
+  # into cache pages, equal the serial fill, float for float.
+  # EnginePrefix.*: every published page, read back by its row keys, holds
+  # the filled rows and flash's outputs over the whole prompt, bit for bit;
+  # and synthesis waits for a request's first chunk.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/engine_test" \
-    --gtest_filter='RaggedBatch.*:SegmentedFill.*'
+    --gtest_filter='RaggedBatch.*:SegmentedFill.*:EnginePrefix.*'
   # Chaos harness: eviction-compacted caches must keep the sweep
   # bit-identical to the direct kernels on either backend, and the storm
   # invariants are backend-independent.
@@ -142,9 +149,10 @@ export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 "$build_tsan/tests/audit_test" --gtest_filter='-*Overhead*'
 # KV page arena: alloc/retain/release/publish/lookup race from many threads
 # against the arena mutex; ConcurrentAllocReleaseIsClean is the dedicated
-# hammer (src/runtime/kv_page.h, "Thread safety"). KVCache::page_chain
-# digests pages on the pool, each task writing its own chain slot before
-# the serial fold (PrefixChain.PageChainOnThePoolEqualsTheSerialFold).
+# hammer (src/runtime/kv_page.h, "Thread safety"). The engine's synthesis
+# writes each page-sized row block of a request's private cache pages from
+# its own pool task (engine_test's EnginePrefix.* and SegmentedFill.*,
+# in the engine_test run above).
 "$build_tsan/tests/kv_page_test"
 
 echo "sanitizer suite passed: thread (core_test, sparse_kernel_test, sampling_test, obs_test, scheduler_test, accounting_test, engine_test, chaos_engine_test, telemetry_test, audit_test, kv_page_test)"

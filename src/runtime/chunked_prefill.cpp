@@ -13,8 +13,9 @@ namespace {
 
 template <typename RunChunk>
 StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk_size,
-                                           KVCache* cache, const std::string& request_id,
-                                           RunChunk run_chunk) {
+                                           KVCache* cache,
+                                           std::span<const std::uint64_t> row_keys,
+                                           const std::string& request_id, RunChunk run_chunk) {
   const Index sq = in.sq(), d = in.head_dim();
   SATTN_CHECK(in.sq() == in.sk(), kInvalidArgument,
               "chunked prefill expects a standard prefill shape, got Sq=", in.sq(),
@@ -23,6 +24,9 @@ StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk
   SATTN_CHECK(cache == nullptr || cache->head_dim() == d, kInvalidArgument,
               "cache head_dim ", cache == nullptr ? 0 : cache->head_dim(),
               " does not match input head_dim ", d);
+  SATTN_CHECK(row_keys.empty() || (cache != nullptr && static_cast<Index>(row_keys.size()) == sq),
+              kInvalidArgument, "prefix sharing needs a cache and one row key per token, got ",
+              row_keys.size(), " keys for ", sq, " tokens");
   SATTN_SPAN("runtime/chunked_prefill");
   std::unique_ptr<obs::RequestContext> request;
   std::unique_ptr<obs::ScopedSpan> request_span;
@@ -35,8 +39,8 @@ StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk
   // Prefix cache: attach any published leading pages before computing —
   // their outputs come straight from the index, so the loop below starts
   // past them (a fully shared prompt computes nothing at all).
-  if (cache != nullptr && cache->empty()) {
-    res.prefix_hit_tokens = cache->try_attach_prefix(in, sq, &res.out);
+  if (!row_keys.empty() && cache->empty()) {
+    res.prefix_hit_tokens = cache->try_attach_prefix(row_keys, sq, &res.out);
   }
   // Each chunk runs in place: queries [q_lo, q_hi) against the key prefix
   // [0, q_hi) of the input, writing straight into its output rows.
@@ -56,7 +60,7 @@ StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk
     ++res.chunks;
   }
   res.mean_density = res.chunks > 0 ? density_sum / res.chunks : 1.0;
-  if (cache != nullptr) cache->publish_prefix(in, res.out);
+  if (!row_keys.empty()) cache->publish_prefix(row_keys, res.out);
   return res;
 }
 
@@ -64,8 +68,9 @@ StatusOr<ChunkedPrefillResult> run_chunked(const AttentionInput& in, Index chunk
 
 StatusOr<ChunkedPrefillResult> chunked_flash_prefill(const AttentionInput& in, Index chunk_size,
                                                      KVCache* cache,
+                                                     std::span<const std::uint64_t> row_keys,
                                                      const std::string& request_id) {
-  return run_chunked(in, chunk_size, cache, request_id,
+  return run_chunked(in, chunk_size, cache, row_keys, request_id,
                      [](const float* q, Index rows, const mk::KvView& kv, Index k_hi, float* out) {
                        flash_attention(q, rows, kv, k_hi, out);
                        return 1.0;
@@ -75,8 +80,9 @@ StatusOr<ChunkedPrefillResult> chunked_flash_prefill(const AttentionInput& in, I
 StatusOr<ChunkedPrefillResult> chunked_sample_prefill(const AttentionInput& in, Index chunk_size,
                                                       const SampleAttentionConfig& cfg,
                                                       KVCache* cache,
+                                                      std::span<const std::uint64_t> row_keys,
                                                       const std::string& request_id) {
-  return run_chunked(in, chunk_size, cache, request_id,
+  return run_chunked(in, chunk_size, cache, row_keys, request_id,
                      [&cfg](const float* q, Index rows, const mk::KvView& kv, Index k_hi,
                             float* out) {
                        const SamplePlan plan = plan_sample_attention(q, rows, kv, k_hi, cfg);

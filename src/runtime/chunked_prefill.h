@@ -14,19 +14,24 @@
 // chunk (each chunk plans its own mask against the current prefix — the
 // natural way to run SampleAttention under chunked serving).
 //
-// Prefix cache: when a cache is supplied (and starts empty), the prefill
-// first probes its arena's content-hash prefix index (runtime/kv_page.h)
-// and attaches every matching leading page — those tokens' outputs are
-// copied from the index and their chunks are never computed
-// (ChunkedPrefillResult::prefix_hit_tokens) — and afterwards publishes the
-// prompt's full pages so later identical-prefix prefills hit. A cache on a
+// Prefix cache: when a cache is supplied together with the prompt's row
+// keys (one per token, each standing for that row's Q, K and V; see
+// runtime/kv_page.h), the prefill first probes the cache's arena's prefix
+// index (the cache must start empty) and attaches every matching leading
+// page — those tokens' outputs are copied from the index and their chunks
+// are never computed (ChunkedPrefillResult::prefix_hit_tokens) — and
+// afterwards publishes the prompt's full pages so later prefills with the
+// same leading keys hit. Without keys nothing is shared. A cache on a
 // private arena makes both steps no-ops in effect (nothing to hit, nobody
 // to share with).
 //
 // Malformed requests (non-square prefill, chunk_size <= 0, cache head_dim
-// mismatch) return a checked Status instead of asserting.
+// mismatch, row keys without a cache or not one per token) return a
+// checked Status instead of asserting.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <string>
 
 #include "attention/attention_method.h"
@@ -44,16 +49,19 @@ struct ChunkedPrefillResult {
 };
 
 // Exact chunked prefill. If cache != nullptr, all K/V rows are appended.
-// A non-empty `request_id` runs the prefill under an obs::RequestContext so
+// Non-empty `row_keys` turn on prefix sharing through the cache. A
+// non-empty `request_id` runs the prefill under an obs::RequestContext so
 // per-chunk kernel charges are attributed to that request.
 StatusOr<ChunkedPrefillResult> chunked_flash_prefill(const AttentionInput& in, Index chunk_size,
                                                      KVCache* cache = nullptr,
+                                                     std::span<const std::uint64_t> row_keys = {},
                                                      const std::string& request_id = {});
 
 // Chunked SampleAttention prefill: Stage-1/2 run per chunk over the prefix.
 StatusOr<ChunkedPrefillResult> chunked_sample_prefill(const AttentionInput& in, Index chunk_size,
                                                       const SampleAttentionConfig& cfg,
                                                       KVCache* cache = nullptr,
+                                                      std::span<const std::uint64_t> row_keys = {},
                                                       const std::string& request_id = {});
 
 }  // namespace sattn

@@ -44,8 +44,11 @@ void fill_row(std::span<float> row, std::uint64_t key) {
   for (float& x : row) x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
 }
 
-// Rows per pool work item of fill_segmented.
-constexpr Index kFillBlockRows = 64;
+// Key of row r of the content stream `base`.
+std::uint64_t row_key(std::uint64_t base, Index r) {
+  return (base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(r) + 1))) *
+         0x100000001b3ull;
+}
 
 // Scorecard attribution for the shadow audit: serving requests are
 // single-head synthetic workloads, so each hashes to a stable pseudo-head
@@ -63,36 +66,65 @@ double wall_seconds(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-// Row r of each stream is keyed by (engine seed, segment key, r) alone, so
-// the rows fill in parallel blocks: the segments' row ranges and keys
-// resolve serially first, then the pool fills kFillBlockRows-row blocks.
-void fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed) {
-  struct Range {
-    Index lo = 0, hi = 0;
-    std::uint64_t base = 0;
+std::vector<std::uint64_t> prompt_row_keys(const ServingRequest& req, std::uint64_t seed) {
+  const Index s = req.prompt_tokens;
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(std::max<Index>(0, s)));
+  const auto fill = [&](std::uint64_t base, Index lo, Index hi) {
+    for (Index r = lo; r < hi; ++r) keys[static_cast<std::size_t>(r)] = row_key(base, r);
   };
-  const Index s = in.sq();
-  std::vector<Range> ranges;
+  if (req.segments.empty()) {
+    fill(mix_id(seed, "seq/" + std::to_string(s) + "/" + req.id), 0, s);
+    return keys;
+  }
   Index r = 0;
   for (const ContentSegment& seg : req.segments) {
     if (r >= s) break;
     const Index hi = std::min(s, r + std::max<Index>(0, seg.tokens));
-    ranges.push_back({r, hi, mix_id(seed, "seg/" + seg.key)});
+    fill(mix_id(seed, "seg/" + seg.key), r, hi);
     r = hi;
   }
-  ranges.push_back({r, s, mix_id(seed, "req/" + req.id)});
-  parallel_for((s + kFillBlockRows - 1) / kFillBlockRows, [&](Index b) {
-    const Index lo = b * kFillBlockRows, hi = std::min(s, lo + kFillBlockRows);
-    for (const Range& rg : ranges) {
-      for (Index row = std::max(lo, rg.lo); row < std::min(hi, rg.hi); ++row) {
-        std::uint64_t h = rg.base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(row) + 1));
-        h *= 0x100000001b3ull;
-        fill_row(in.q.row(row), h ^ 0x51ull);
-        fill_row(in.k.row(row), h ^ 0x4bull);
-        fill_row(in.v.row(row), h ^ 0x56ull);
+  fill(mix_id(seed, "req/" + req.id), r, s);
+  return keys;
+}
+
+void synthesize_prompt(const ServingRequest& req, std::uint64_t seed,
+                       std::span<const std::uint64_t> keys, KVCache& cache, Matrix& q,
+                       Matrix& dec_q) {
+  const Index lo = cache.size(), s = static_cast<Index>(keys.size());
+  assert(lo <= s);
+  q.resize(s - lo, cache.head_dim());
+  const Status grown = cache.extend(s - lo);
+  assert(grown.ok());
+  (void)grown;
+  if (req.segments.empty()) {
+    // The one sequential stream: rows below `lo` are drawn and dropped.
+    Rng rng(mix_id(seed, req.id));
+    std::vector<float> dropped(static_cast<std::size_t>(cache.head_dim()));
+    const auto draw = [&](auto&& dst) {
+      for (Index r = 0; r < s; ++r) {
+        const std::span<float> row = r < lo ? std::span<float>(dropped) : dst(r);
+        for (float& x : row) x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
       }
+    };
+    draw([&](Index r) { return q.row(r - lo); });
+    draw([&](Index r) { return cache.k_row(r); });
+    draw([&](Index r) { return cache.v_row(r); });
+    fill_matrix(dec_q, rng);
+    return;
+  }
+  // Each row depends on its key alone, so page-sized blocks fill in
+  // parallel.
+  const Index block = cache.arena()->page_tokens();
+  parallel_for((s - lo + block - 1) / block, [&](Index b) {
+    for (Index r = lo + b * block; r < std::min(s, lo + (b + 1) * block); ++r) {
+      const std::uint64_t key = keys[static_cast<std::size_t>(r)];
+      fill_row(q.row(r - lo), key ^ 0x51ull);
+      fill_row(cache.k_row(r), key ^ 0x4bull);
+      fill_row(cache.v_row(r), key ^ 0x56ull);
     }
   });
+  Rng rng(mix_id(seed, "dec/" + req.id));
+  fill_matrix(dec_q, rng);
 }
 
 // One in-flight request. Owned exclusively by the loop thread after
@@ -101,8 +133,12 @@ struct ServingEngine::Live {
   ServingRequest req;  // arrival_seconds = measured submit instant
   Index admit_seq = 0;
 
-  AttentionInput in;  // square prompt_tokens x prompt_tokens workload
-  Matrix out;         // prefill attention output
+  // One key per prompt token (prompt_row_keys). The rows past the prefix
+  // hit are synthesized at the first chunk: Q and the outputs into q and
+  // out (row r - prefix_hit), K and V into the cache's private pages.
+  std::vector<std::uint64_t> keys;
+  Matrix q;
+  Matrix out;
   KVCache cache;
   Matrix dec_q;                // decode queries, one per generated token
   std::vector<float> dec_out;  // decode output scratch (head_dim)
@@ -439,8 +475,8 @@ bool ServingEngine::intake(std::vector<ServingRequest>& arrivals, bool& closed) 
 }
 
 // Admission: an arrival matched by a pending cancel retires cancelled, the
-// door (ServingPolicy::admit) sheds, and the rest get their synthetic Q/K/V
-// and a prefix-cache probe and join the live set. Then pending cancels
+// door (ServingPolicy::admit) sheds, and the rest get their row keys and a
+// prefix-cache probe and join the live set. Then pending cancels
 // retire matching in-flight requests — between chunks, never mid-kernel.
 void ServingEngine::admit(std::vector<ServingRequest> arrivals) {
   for (ServingRequest& req : arrivals) {
@@ -456,32 +492,12 @@ void ServingEngine::admit(std::vector<ServingRequest> arrivals) {
     lr->req = std::move(req);
     lr->admit_seq = admit_seq_++;
     lr->active = opts_.kv_budget_bytes <= 0.0;  // budget gate (gate_kv_budget)
-    // Allocation, synthesis and the first probe, billed to queue; the span
-    // shows them in the request's trace lane.
+    // Row keys and the first probe, billed to queue; the span shows them in
+    // the request's trace lane. Nothing is synthesized before the first
+    // chunk, and then only the rows past the prefix hit.
     obs::RequestContext ctx(request_key(opts_.run_label, lr->req.id));
     SATTN_SPAN("engine/admit");
-    const Index s = lr->req.prompt_tokens, d = opts_.head_dim;
-    lr->in.q.resize(s, d);
-    lr->in.k.resize(s, d);
-    lr->in.v.resize(s, d);
-    lr->out.resize(s, d);
-    if (opts_.decode_tokens > 0) {
-      lr->dec_q.resize(opts_.decode_tokens, d);
-      lr->dec_out.assign(static_cast<std::size_t>(d), 0.0f);
-    }
-    if (lr->req.segments.empty()) {
-      // Sequential per-request fill — bit-identical to the pre-paging
-      // engine, so segment-less runs reproduce exactly.
-      Rng rng(mix_id(opts_.seed, lr->req.id));
-      fill_matrix(lr->in.q, rng);
-      fill_matrix(lr->in.k, rng);
-      fill_matrix(lr->in.v, rng);
-      fill_matrix(lr->dec_q, rng);
-    } else {
-      fill_segmented(lr->in, lr->req, opts_.seed);
-      Rng rng(mix_id(opts_.seed, "dec/" + lr->req.id));
-      fill_matrix(lr->dec_q, rng);
-    }
+    lr->keys = prompt_row_keys(lr->req, opts_.seed);
     probe_prefix(*lr);
     SATTN_COUNTER_ADD("sched.requests_enqueued", 1);
     note(Kind::kAdmit, lr->req.id, now());
@@ -595,11 +611,11 @@ void ServingEngine::steer() {
 }
 
 // Batch formation (runtime/batch.h) over active, ungated requests, then one
-// ragged sequence per step item. Every sequence reads its request's tensors
-// in place: a prefill chunk queries rows [q_lo, q_hi) against the key
-// prefix [0, q_hi), a decode step reads the KV cache through its page
-// table. Empty when nothing can run (the loop then waits out the earliest
-// backoff gate here).
+// ragged sequence per step item. Every sequence reads its request's KV
+// cache through its page table: a prefill chunk queries rows [q_lo, q_hi)
+// against the key prefix [0, q_hi), a decode step the whole cache. Empty
+// when nothing can run (the loop then waits out the earliest backoff gate
+// here).
 std::vector<ServingEngine::Item> ServingEngine::form(RaggedBatchView& batch) {
   const double t_form = now();
   std::vector<SlotSnapshot> slots;
@@ -637,8 +653,11 @@ std::vector<ServingEngine::Item> ServingEngine::form(RaggedBatchView& batch) {
     // chunk looks the index up again — requests admitted in the same intake
     // sweep (or queued behind the batch) see pages an earlier sharer
     // published after their admission-time probe missed. On a hit the
-    // scheduled window shifts past the attached rows.
-    if (!si.decode && si.q_lo == 0 && lr->prefilled == 0) {
+    // scheduled window shifts past the attached rows. A first chunk that
+    // faulted with nothing attached drops its synthesized rows and probes
+    // again, like a request that never ran.
+    if (!si.decode && lr->prefilled == 0) {
+      if (!lr->cache.empty()) lr->cache = KVCache(opts_.head_dim, arena_);
       probe_prefix(*lr);
       if (lr->prefilled > 0) {
         const Index rows = si.q_hi - si.q_lo;
@@ -646,6 +665,9 @@ std::vector<ServingEngine::Item> ServingEngine::form(RaggedBatchView& batch) {
         si.q_hi = std::min(lr->req.prompt_tokens, si.q_lo + rows);
       }
     }
+    // After the last probe it can make, the request synthesizes the rows
+    // past its hit.
+    if (!si.decode && lr->cache.size() < lr->req.prompt_tokens) synthesize(*lr);
     Item item{lr, si.q_lo, si.q_hi, si.decode, 0.0, nullptr};
     RaggedSeq seq;
     seq.request_id = request_key(opts_.run_label, lr->req.id);
@@ -658,12 +680,12 @@ std::vector<ServingEngine::Item> ServingEngine::form(RaggedBatchView& batch) {
       seq.causal_off = seq.k_hi - 1;
       seq.out = lr->dec_out.data();
     } else {
-      seq.q = lr->in.q.row(si.q_lo).data();
+      seq.q = lr->q.row(si.q_lo - lr->prefix_hit).data();
       seq.rows = si.q_hi - si.q_lo;
-      seq.kv = mk::KvView::of(lr->in);
+      seq.kv = lr->cache.view();
       seq.k_hi = si.q_hi;
       seq.causal_off = si.q_lo;
-      seq.out = lr->out.row(si.q_lo).data();
+      seq.out = lr->out.row(si.q_lo - lr->prefix_hit).data();
       if (opts_.mode == EngineMode::kSampleAttention) plan_chunk(item, seq);
     }
     batch.seqs.push_back(std::move(seq));
@@ -832,21 +854,32 @@ void ServingEngine::apply(const std::vector<Item>& items, const std::vector<SeqC
   }
 }
 
-// Prefill done: fill the cache (needed for decode and, independently, to
-// publish this prompt's prefix pages for future requests), apply sparse
-// residency, and stamp TTFT. The fill happens BEFORE the stamp: it (and the
-// prefix publish's hashing) bills to compute, so it must lie inside the
-// TTFT wall window or the queue residual could go negative.
+// Synthesis at a request's first chunk, billed to queue like admission:
+// the rows past the prefix hit, K/V straight into the cache's pages.
+void ServingEngine::synthesize(Live& lr) {
+  obs::RequestContext ctx(request_key(opts_.run_label, lr.req.id));
+  SATTN_SPAN("engine/synthesize");
+  const Index d = opts_.head_dim;
+  if (opts_.decode_tokens > 0) {
+    lr.dec_q.resize(opts_.decode_tokens, d);
+    lr.dec_out.assign(static_cast<std::size_t>(d), 0.0f);
+  }
+  synthesize_prompt(lr.req, opts_.seed, lr.keys, lr.cache, lr.q, lr.dec_q);
+  lr.out.resize(lr.q.rows(), d);
+}
+
+// Prefill done: the cache already holds the whole prompt, so this publishes
+// its full pages for future requests, applies sparse residency, and stamps
+// TTFT. The publish happens BEFORE the stamp: it bills to compute, so it
+// must lie inside the TTFT wall window or the queue residual could go
+// negative.
 void ServingEngine::finish_prefill(Live& lr) {
   if (opts_.decode_tokens > 0 || opts_.kv_prefix_cache) {
-    // Service work on the request's critical path; it appends only the
-    // suffix past any attached prefix pages.
-    const double c0 = now();
-    const Status cs = lr.cache.append_prefill(lr.in);
-    assert(cs.ok());
-    (void)cs;
-    if (opts_.kv_prefix_cache) lr.cache.publish_prefix(lr.in, lr.out);
-    lr.compute_s += now() - c0;
+    if (opts_.kv_prefix_cache) {
+      const double c0 = now();
+      lr.cache.publish_prefix(lr.keys, lr.out, lr.prefix_hit);
+      lr.compute_s += now() - c0;
+    }
     // Sparse-residency eviction: with an accepted structured plan, no
     // decode row will read keys outside the plan's stripes + local window —
     // free the pages holding only such tokens, so page residency tracks the
@@ -866,9 +899,10 @@ void ServingEngine::finish_prefill(Live& lr) {
                                         opts_.kv_evict_recent);
       }
     }
-    // The prefill tensors are dead once the cache holds K/V: release them
-    // so live memory tracks what the KV budget models.
-    lr.in = AttentionInput{};
+    // The prefill rows are dead once the cache holds K/V: release them so
+    // live memory tracks what the KV budget models.
+    lr.keys = std::vector<std::uint64_t>();
+    lr.q = Matrix{};
     lr.out = Matrix{};
   }
   const double t_fin = now();
@@ -963,17 +997,17 @@ void ServingEngine::wait_for_work(std::unique_lock<std::mutex>& lk, double until
   loop_waiting_.store(false, std::memory_order_relaxed);
 }
 
-// Prefix-cache probe: attach leading shared pages from the arena's
-// content-hash index and copy their stored attention outputs — those rows
-// skip prefill compute entirely. Capped at prompt - 1 so even a full-prefix
-// hit leaves one row of real prefill (the request still flows through
-// form_step and the normal prefill-done transition). Called at admission,
-// when a budget-deferred waiter activates, and when a first chunk is
-// scheduled: the index may have grown meanwhile (an earlier sharer
-// published).
+// Prefix-cache probe: attach leading shared pages from the arena's row-key
+// index — those rows skip synthesis and prefill compute entirely. Their
+// stored outputs are not copied: nothing reads them, since attached pages
+// are never published again. Capped at prompt - 1 so even a full-prefix hit leaves one row of
+// real prefill (the request still flows through form_step and the normal
+// prefill-done transition). Called at admission, when a budget-deferred
+// waiter activates, and when a first chunk is scheduled: the index may have
+// grown meanwhile (an earlier sharer published).
 void ServingEngine::probe_prefix(Live& lr) {
   if (!opts_.kv_prefix_cache || lr.prefilled > 0 || !lr.cache.empty()) return;
-  const Index hit = lr.cache.try_attach_prefix(lr.in, lr.req.prompt_tokens - 1, &lr.out);
+  const Index hit = lr.cache.try_attach_prefix(lr.keys, lr.req.prompt_tokens - 1, nullptr);
   if (hit <= 0) return;
   lr.prefilled = hit;
   lr.prefix_hit = hit;
@@ -985,14 +1019,15 @@ void ServingEngine::probe_prefix(Live& lr) {
 
 // Projected KV bytes a request pins while live. A prefilling request will
 // need its whole prompt's K/V (2 streams, fp32 — the acct.* byte
-// convention), minus what already resides in the cache as attached prefix
-// pages, which bill at the cache's counted-once page share; a decoding
-// request holds exactly its cache, which the eviction rung can shrink.
+// convention): its attached prefix pages bill at the cache's counted-once
+// share and the rows past the hit per token, whether or not they are
+// synthesized yet. Once prefill is done a request holds exactly its cache,
+// which the eviction rung can shrink.
 double ServingEngine::kv_bytes(const Live& lr) const {
-  if (lr.decoding) return lr.cache.bytes();
+  if (lr.finish_prefill_s >= 0.0) return lr.cache.bytes();
   const double per_token = 2.0 * static_cast<double>(opts_.head_dim) * obs::kAcctBytesPerElement;
-  const Index missing = std::max<Index>(0, lr.req.prompt_tokens - lr.cache.size());
-  return lr.cache.bytes() + per_token * static_cast<double>(missing);
+  return lr.cache.shared_bytes() +
+         per_token * static_cast<double>(lr.req.prompt_tokens - lr.prefix_hit);
 }
 
 double ServingEngine::active_kv_bytes() const {

@@ -31,8 +31,9 @@
 // optional watchdog thread observes loop progress through atomics only.
 //
 // One loop iteration is a run of named phases (engine.cpp): intake (drain
-// submissions and cancels, bounded drain) -> admit -> gate_kv_budget ->
-// steer -> form (plan_chunk per sample-mode prefill chunk) -> one ragged
+// submissions and cancels, bounded drain) -> admit (row keys and a prefix
+// probe) -> gate_kv_budget -> steer -> form (synthesize at a request's
+// first chunk, plan_chunk per sample-mode prefill chunk) -> one ragged
 // sweep -> apply (finish_prefill when a prompt is done). Every terminal
 // state goes through retire(), and every lifecycle event through note().
 //
@@ -74,15 +75,30 @@ namespace sattn {
 
 enum class EngineMode { kDense, kSampleAttention };
 
-// Segment-keyed synthetic prompt content (requests with
-// ServingRequest::segments): row r of Q, K and V depends only on (seed,
-// segment key, absolute position r), so two requests whose prompts start
-// with the same segment sequence produce bit-identical leading rows — the
-// invariant the prefix cache's content-hash chain verifies before sharing
-// pages. Tokens past the declared segments are keyed by the request id
-// (private content). Fills rows [0, in.sq()) of in.q, in.k and in.v, which
-// must be allocated; the rows fill in blocks on the thread pool.
-void fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed);
+class KVCache;
+
+// Synthetic prompt content, named by row keys: one 64-bit key per prompt
+// token that determines its Q, K and V rows. Row r of a segmented prompt
+// (ServingRequest::segments) is keyed by (seed, segment key, r) and its
+// rows are drawn from that key alone, so two requests whose prompts start
+// with the same segment sequence have equal leading keys and bit-identical
+// leading rows; the prefix index (runtime/kv_page.h) compares the keys
+// before sharing pages. Tokens past the declared segments are keyed by the
+// request id (private content). A segment-less prompt is one sequential Rng
+// stream seeded by its id (Q, then K, then V, then the decode queries),
+// bit-identical to the pre-paging engine; its key for row r names
+// (seed, id, prompt length, r).
+std::vector<std::uint64_t> prompt_row_keys(const ServingRequest& req, std::uint64_t seed);
+
+// Synthesizes the prompt rows past those `cache` already holds (an
+// attached prefix): Q row r into q.row(r - cache.size()) (q is resized to
+// the rest of the prompt), K and V rows into private pages the cache
+// extends by, and the decode queries into dec_q (sized by the caller). A
+// segmented prompt fills its rows in page-sized blocks on the thread pool;
+// `keys` are prompt_row_keys(req, seed).
+void synthesize_prompt(const ServingRequest& req, std::uint64_t seed,
+                       std::span<const std::uint64_t> keys, KVCache& cache, Matrix& q,
+                       Matrix& dec_q);
 
 // The ServingPolicy base carries the shared policy fields (max_queue_depth,
 // max_prompt_tokens, deadline_seconds, slo_ttft_seconds,
@@ -158,12 +174,13 @@ struct EngineOptions : ServingPolicy {
   std::shared_ptr<KvPageArena> kv_arena;
   Index kv_page_tokens = KvPageArena::kDefaultPageTokens;  // power of two
 
-  // Prefix cache: at admission the engine probes the arena's content-hash
-  // index with the request's synthetic prompt content and attaches any
-  // matching shared pages — those tokens skip prefill compute entirely
-  // (counters engine.kv_prefix_hits / engine.kv_prefix_hit_tokens), cutting
-  // TTFT; at prefill completion the request's full pages are published for
-  // future requests. Sharing requires overlapping ServingRequest::segments.
+  // Prefix cache: at admission the engine probes the arena's prefix index
+  // with the request's row keys (prompt_row_keys) and attaches any
+  // matching shared pages — those tokens skip synthesis and prefill
+  // compute entirely (counters engine.kv_prefix_hits /
+  // engine.kv_prefix_hit_tokens), cutting TTFT; at prefill completion the
+  // request's full pages are published for future requests. Sharing
+  // requires overlapping ServingRequest::segments.
   bool kv_prefix_cache = true;
 
   // Sparse-residency eviction (sample mode): when a request finishes
@@ -375,6 +392,7 @@ class ServingEngine {
   std::vector<Item> form(RaggedBatchView& batch);
   void plan_chunk(Item& item, RaggedSeq& seq);
   void apply(const std::vector<Item>& items, const std::vector<SeqCost>& costs);
+  void synthesize(Live& lr);
   void finish_prefill(Live& lr);
 
   // The one terminal path: completed, shed or cancelled. `lr` is null for a

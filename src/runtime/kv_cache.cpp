@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "core/thread_pool.h"
 #include "obs/trace.h"
 
 namespace sattn {
@@ -31,8 +30,6 @@ KVCache& KVCache::operator=(KVCache&& other) noexcept {
     v_ptrs_ = std::move(other.v_ptrs_);
     shared_pages_ = other.shared_pages_;
     positions_ = std::move(other.positions_);
-    chain_ = std::move(other.chain_);
-    chain_src_ = other.chain_src_;
     other.shared_pages_ = 0;
   }
   return *this;
@@ -54,15 +51,18 @@ void KVCache::release_all_pages() {
 }
 
 double KVCache::bytes() const {
+  double total = shared_bytes();
+  // Private pages: sole owner by construction.
+  for (Index pi = shared_pages_; pi < pages(); ++pi) total += arena_->page_bytes();
+  return total;
+}
+
+double KVCache::shared_bytes() const {
   const double page_bytes = arena_->page_bytes();
   double total = 0.0;
-  for (std::size_t pi = 0; pi < pages_.size(); ++pi) {
-    if (static_cast<Index>(pi) < shared_pages_) {
-      const int owners = arena_->owner_count(pages_[pi]);
-      total += page_bytes / static_cast<double>(std::max(owners, 1));
-    } else {
-      total += page_bytes;  // private page: sole owner by construction
-    }
+  for (Index pi = 0; pi < shared_pages_; ++pi) {
+    const int owners = arena_->owner_count(pages_[static_cast<std::size_t>(pi)]);
+    total += page_bytes / static_cast<double>(std::max(owners, 1));
   }
   return total;
 }
@@ -111,6 +111,18 @@ Status KVCache::append_prefill(const AttentionInput& in) {
   for (Index j = size(); j < in.sk(); ++j) {
     SATTN_RETURN_IF_ERROR(append(j, in.k.row(j), in.v.row(j)));
   }
+  return Status::Ok();
+}
+
+Status KVCache::extend(Index n) {
+  SATTN_CHECK(n >= 0, kInvalidArgument, "extend by a negative row count ", n);
+  SATTN_CHECK(positions_.empty() || positions_.back() == size() - 1, kFailedPrecondition,
+              "extend needs a dense position prefix, cache ends at position ",
+              positions_.empty() ? -1 : positions_.back(), " with ", size(), " slots");
+  const Index hi = size() + n;
+  while (static_cast<Index>(pages_.size()) << shift_ < hi) push_page(arena_->alloc());
+  for (Index j = size(); j < hi; ++j) positions_.push_back(j);
+  SATTN_COUNTER_ADD("kv_cache.appended_rows", static_cast<double>(n));
   return Status::Ok();
 }
 
@@ -170,63 +182,50 @@ Status KVCache::keep_slots(std::span<const Index> sorted_slots) {
   return Status::Ok();
 }
 
-std::uint64_t KVCache::page_chain(const AttentionInput& in, Index page) {
-  if (chain_src_ != in.q.data()) {  // a different prompt: its own chain
-    chain_src_ = in.q.data();
-    // Page digests are independent, so the pool hashes all full pages of
-    // the prompt at once; only the fold that chains them is serial.
-    const Index P = arena_->page_tokens();
-    const Index n = std::min(in.sq(), in.sk()) >> shift_;
-    chain_.assign(static_cast<std::size_t>(n), 0);
-    parallel_for(n, [&](Index pi) {
-      chain_[static_cast<std::size_t>(pi)] = prefix_page_digest(in, pi * P, (pi + 1) * P);
-    });
-    std::uint64_t h = kPrefixChainSeed;
-    for (std::uint64_t& link : chain_) link = h = prefix_chain_fold(h, link);
-  }
-  assert(page >= 0 && page < static_cast<Index>(chain_.size()));
-  return chain_[static_cast<std::size_t>(page)];
-}
-
-Index KVCache::try_attach_prefix(const AttentionInput& in, Index max_tokens, Matrix* out) {
+Index KVCache::try_attach_prefix(std::span<const std::uint64_t> row_keys, Index max_tokens,
+                                 Matrix* out) {
   assert(empty() && "prefix attach requires an empty cache");
-  assert(in.head_dim() == d_);
-  assert(out == nullptr || (out->rows() >= in.sq() && out->cols() == d_));
   const Index P = arena_->page_tokens();
-  const Index limit = std::min(std::min(max_tokens, in.sk()), in.sq());
-  // The lookup verifies K/V against the prompt's own rows in place and
-  // writes the stored outputs straight into `out`.
-  std::vector<float> discard(out == nullptr ? static_cast<std::size_t>(P * d_) : 0);
+  const Index limit = std::min(max_tokens, static_cast<Index>(row_keys.size()));
+  assert(out == nullptr || (out->rows() >= limit / P * P && out->cols() == d_));
+  std::uint64_t chain = kPrefixChainSeed;
   Index attached = 0;
-  for (Index pi = 0; attached + P <= limit; ++pi) {
-    const Index lo = attached;
+  while (attached + P <= limit) {
+    const auto keys =
+        row_keys.subspan(static_cast<std::size_t>(attached), static_cast<std::size_t>(P));
+    chain = prefix_chain_fold(chain, prefix_page_digest(keys));
     const KvPageArena::PageRef ref =
-        arena_->prefix_lookup(page_chain(in, pi), in.k.row(lo).data(), in.v.row(lo).data(),
-                              out != nullptr ? out->row(lo).data() : discard.data());
+        arena_->prefix_lookup(chain, keys, out != nullptr ? out->row(attached).data() : nullptr);
     if (ref.id < 0) break;
     push_page(ref);
     ++shared_pages_;
-    for (Index r = lo; r < lo + P; ++r) positions_.push_back(r);
-    attached = lo + P;
+    for (Index r = attached; r < attached + P; ++r) positions_.push_back(r);
+    attached += P;
   }
   if (attached > 0) SATTN_COUNTER_ADD("kv_cache.prefix_hit_tokens", attached);
   return attached;
 }
 
-Index KVCache::publish_prefix(const AttentionInput& in, const Matrix& out) {
-  assert(in.head_dim() == d_ && out.cols() == d_);
+Index KVCache::publish_prefix(std::span<const std::uint64_t> row_keys, const Matrix& out,
+                              Index out_lo) {
+  assert(out.cols() == d_);
   const Index P = arena_->page_tokens();
   // Only a dense position prefix is publishable: page p must hold exactly
   // tokens [p*P, (p+1)*P).
   Index dense = 0;
   while (dense < size() && positions_[static_cast<std::size_t>(dense)] == dense) ++dense;
-  const Index full_pages = std::min({dense, in.sq(), in.sk(), out.rows()}) >> shift_;
-  // Attached pages are already published; the chain past them is the one
-  // the probe already computed.
+  const Index full_pages =
+      std::min({dense, static_cast<Index>(row_keys.size()), out_lo + out.rows()}) >> shift_;
+  assert(shared_pages_ >= full_pages || shared_pages_ * P >= out_lo);
   Index published = 0;
-  for (Index pi = shared_pages_; pi < full_pages; ++pi) {
-    if (!arena_->prefix_publish(page_chain(in, pi), pages_[static_cast<std::size_t>(pi)],
-                                out.row(pi * P).data())) {
+  std::uint64_t chain = kPrefixChainSeed;
+  for (Index pi = 0; pi < full_pages; ++pi) {
+    const auto keys =
+        row_keys.subspan(static_cast<std::size_t>(pi * P), static_cast<std::size_t>(P));
+    chain = prefix_chain_fold(chain, prefix_page_digest(keys));
+    if (pi < shared_pages_) continue;  // attached or already published
+    if (!arena_->prefix_publish(chain, keys, pages_[static_cast<std::size_t>(pi)],
+                                out.row(pi * P - out_lo).data())) {
       // Lost the publish race: another cache's image already backs this
       // chain (and therefore every longer chain). Our pages stay private
       // duplicates; later requests will hit the winner's image.

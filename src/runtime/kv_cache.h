@@ -10,7 +10,7 @@
 // Storage is a page table over a KvPageArena (runtime/kv_page.h): logical
 // slot j lives in page j >> page_shift at row j & page_mask. Pages at the
 // front of the table may be SHARED prefix pages attached from the arena's
-// content-hash index (immutable, refcounted); appends only ever write the
+// row-key prefix index (immutable, refcounted); appends only ever write the
 // private tail page, and keep_slots rewrites survivors into fresh private
 // pages — releasing whole shared/old pages back to the arena is what makes
 // eviction page-granular and divergence copy-on-write. Kernels read the
@@ -63,6 +63,9 @@ class KVCache {
   // metadata is excluded: the budget models device KV capacity, not host
   // bookkeeping.
   double bytes() const;
+  // The leading shared pages' part of bytes(): what the cache holds of the
+  // prefix index, without its private pages.
+  double shared_bytes() const;
 
   // Pages currently mapped by this cache's page table.
   Index pages() const { return static_cast<Index>(pages_.size()); }
@@ -81,6 +84,15 @@ class KVCache {
   // positions [0, size()) (true for the attach/append lifecycle; after
   // eviction the append positions would collide and the call is rejected).
   Status append_prefill(const AttentionInput& in);
+
+  // Appends n rows at positions [size(), size() + n) into private pages
+  // without writing them: the caller fills each row through k_row/v_row
+  // before any read. Same dense-prefix precondition as append_prefill.
+  Status extend(Index n);
+
+  // Writable K and V rows of a slot in a private page (extend's rows).
+  std::span<float> k_row(Index slot) { return private_row(k_ptrs_, slot); }
+  std::span<float> v_row(Index slot) { return private_row(v_ptrs_, slot); }
 
   std::span<const float> k(Index slot) const {
     assert(slot >= 0 && slot < size());
@@ -121,38 +133,39 @@ class KVCache {
   Status keep_slots(std::span<const Index> sorted_slots);
 
   // ---- Prefix sharing (runtime/kv_page.h) -------------------------------
+  //
+  // A prompt is named by its row keys, one per token (row_keys[r] stands
+  // for the Q, K and V rows of position r); the chain over them is a few
+  // microseconds per 4K tokens, so every call below recomputes it.
 
-  // A cache serves one prompt: every call below is given the same input,
-  // whose rows do not change while the cache lives. The first call hashes
-  // every full page of the prompt — the page digests on the thread pool,
-  // then the serial chain fold (runtime/kv_page.h) — and the cache keeps
-  // the chain: re-probes and publishes read it and hash nothing.
-
-  // Chain hash of page `page` of `in`: prefix_chain_hash folded over its
-  // pages 0..page. `page` must be a full page of the prompt
-  // (< min(in.sq(), in.sk()) / page_tokens).
-  std::uint64_t page_chain(const AttentionInput& in, Index page);
-
-  // Probes the arena's prefix index with the chain hashes of `in`'s leading
-  // full pages and attaches every hit (K/V verified against `in`'s own rows
-  // in place): the shared pages join the page table, their stored attention
-  // outputs are copied into the matching rows of `out` (when non-null; must
-  // be [in.sq() x head_dim]). The cache must be empty. Attachment stops at
+  // Probes the arena's prefix index with the chain hashes of the prompt's
+  // leading full pages and attaches every hit: the shared pages join the
+  // page table, and their stored attention outputs are copied into the
+  // matching rows of `out` (when non-null; must have >= the attached rows
+  // and head_dim columns). The cache must be empty. Attachment stops at
   // the first miss and never exceeds max_tokens (rounded down to a page
   // boundary). Returns the number of tokens attached — the prefill compute
   // the caller can skip.
-  Index try_attach_prefix(const AttentionInput& in, Index max_tokens, Matrix* out);
+  Index try_attach_prefix(std::span<const std::uint64_t> row_keys, Index max_tokens, Matrix* out);
 
   // Publishes the leading full pages of this cache (which must hold
-  // positions [0, size()) built from `in`, with `out` the computed
-  // attention outputs) to the arena's prefix index, making them immutable
-  // and shareable. Pages already published (e.g. attached ones) are
+  // positions [0, size()) of the prompt named by row_keys) to the arena's
+  // prefix index, making them immutable and shareable; out.row(r - out_lo)
+  // is position r's attention output, so out need only cover the rows past
+  // the attached pages. Pages already published (e.g. attached ones) are
   // skipped. Returns the number of pages newly published.
-  Index publish_prefix(const AttentionInput& in, const Matrix& out);
+  Index publish_prefix(std::span<const std::uint64_t> row_keys, const Matrix& out,
+                       Index out_lo = 0);
 
  private:
   void push_page(const KvPageArena::PageRef& ref);
   void release_all_pages();
+  std::span<float> private_row(const std::vector<float*>& ptrs, Index slot) {
+    assert(slot >= 0 && slot < size() && (slot >> shift_) >= shared_pages_);
+    return {ptrs[static_cast<std::size_t>(slot >> shift_)] +
+                static_cast<std::size_t>(slot & mask_) * d_,
+            static_cast<std::size_t>(d_)};
+  }
 
   Index d_ = 0;
   Index shift_ = 0;
@@ -163,8 +176,6 @@ class KVCache {
   std::vector<float*> v_ptrs_;
   Index shared_pages_ = 0;     // leading immutable pages from the index
   std::vector<Index> positions_;
-  std::vector<std::uint64_t> chain_;  // chain hashes of the prompt's full pages
-  const float* chain_src_ = nullptr;  // the prompt chain_ was computed from
 };
 
 }  // namespace sattn

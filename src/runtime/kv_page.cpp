@@ -180,8 +180,10 @@ double KvPageArena::bytes_live() const {
   return static_cast<double>(live_) * page_bytes();
 }
 
-bool KvPageArena::prefix_publish(std::uint64_t chain_hash, Index page, const float* out_rows) {
+bool KvPageArena::prefix_publish(std::uint64_t chain_hash, std::span<const std::uint64_t> row_keys,
+                                 Index page, const float* out_rows) {
   const std::size_t floats = static_cast<std::size_t>(page_tokens_) * static_cast<std::size_t>(d_);
+  assert(static_cast<Index>(row_keys.size()) == page_tokens_);
   std::lock_guard lk(mu_);
   assert(page >= 0 && static_cast<std::size_t>(page) < pages_.size());
   if (prefix_.count(chain_hash) != 0) return false;  // first publisher wins
@@ -192,31 +194,31 @@ bool KvPageArena::prefix_publish(std::uint64_t chain_hash, Index page, const flo
   ++p.refs;  // the index's hold
   PrefixEntry e;
   e.page = page;
+  e.row_keys.assign(row_keys.begin(), row_keys.end());
   e.out_rows.assign(out_rows, out_rows + floats);
   prefix_.emplace(chain_hash, std::move(e));
   SATTN_COUNTER_ADD("kv_cache.prefix_published", 1);
   return true;
 }
 
-KvPageArena::PageRef KvPageArena::prefix_lookup(std::uint64_t chain_hash, const float* k_expect,
-                                                const float* v_expect, float* out_rows) {
-  const std::size_t floats = static_cast<std::size_t>(page_tokens_) * static_cast<std::size_t>(d_);
+KvPageArena::PageRef KvPageArena::prefix_lookup(std::uint64_t chain_hash,
+                                                std::span<const std::uint64_t> row_keys,
+                                                float* out_rows) {
+  assert(static_cast<Index>(row_keys.size()) == page_tokens_);
   std::lock_guard lk(mu_);
   const auto it = prefix_.find(chain_hash);
-  if (it == prefix_.end()) {
+  // Collision safety: the stored row keys must equal the caller's, so the
+  // page holds exactly the rows the caller is about to rely on.
+  if (it == prefix_.end() ||
+      std::memcmp(it->second.row_keys.data(), row_keys.data(), row_keys.size_bytes()) != 0) {
     SATTN_COUNTER_ADD("kv_cache.prefix_misses", 1);
     return {};
   }
   Page& p = pages_[static_cast<std::size_t>(it->second.page)];
-  // Collision safety: the stored K/V payload must be byte-identical to what
-  // the caller is about to rely on.
-  if (std::memcmp(p.k.get(), k_expect, floats * sizeof(float)) != 0 ||
-      std::memcmp(p.v.get(), v_expect, floats * sizeof(float)) != 0) {
-    SATTN_COUNTER_ADD("kv_cache.prefix_misses", 1);
-    return {};
-  }
   ++p.refs;  // caller's hold
-  std::memcpy(out_rows, it->second.out_rows.data(), it->second.out_rows.size() * sizeof(float));
+  if (out_rows != nullptr) {
+    std::memcpy(out_rows, it->second.out_rows.data(), it->second.out_rows.size() * sizeof(float));
+  }
   SATTN_COUNTER_ADD("kv_cache.prefix_hits", 1);
   return {it->second.page, p.k.get(), p.v.get()};
 }
@@ -238,23 +240,12 @@ double KvPageArena::prefix_index_bytes() const {
   return bytes;
 }
 
-std::uint64_t prefix_page_digest(const AttentionInput& in, Index lo, Index hi) {
-  assert(0 <= lo && lo <= hi && hi <= in.sq() && hi <= in.sk());
-  // Matrix rows are contiguous, so each stream's rows [lo, hi) are one span.
-  const auto d = static_cast<std::size_t>(in.head_dim());
-  const std::size_t first = static_cast<std::size_t>(lo) * d;
-  const std::size_t bytes = static_cast<std::size_t>(hi - lo) * d * sizeof(float);
-  std::uint64_t h = xxh64(in.q.data() + first, bytes, 0);
-  h = xxh64(in.k.data() + first, bytes, h);
-  return xxh64(in.v.data() + first, bytes, h);
+std::uint64_t prefix_page_digest(std::span<const std::uint64_t> page_keys) {
+  return xxh64(page_keys.data(), page_keys.size_bytes(), 0);
 }
 
 std::uint64_t prefix_chain_fold(std::uint64_t prev, std::uint64_t digest) {
   return avalanche(rotl(prev ^ round64(0, digest), 27) * kP1 + kP4);
-}
-
-std::uint64_t prefix_chain_hash(std::uint64_t prev, const AttentionInput& in, Index lo, Index hi) {
-  return prefix_chain_fold(prev, prefix_page_digest(in, lo, hi));
 }
 
 }  // namespace sattn

@@ -4,10 +4,10 @@
 // one contiguous K/V slab per request, every KVCache maps its logical slots
 // onto fixed-size pages drawn from a shared arena. Pages are refcounted, so
 // requests with a common prompt prefix share the same physical pages, and
-// the content-hash prefix index turns that sharing into skipped prefill
+// the row-key prefix index turns that sharing into skipped prefill
 // compute: a published page chain carries the cold run's attention outputs,
-// so a warm request attaches the pages, copies the outputs, and starts
-// prefill past the shared region.
+// so a warm request attaches the pages and starts prefill past the shared
+// region.
 //
 // Sharing rules (docs/ARCHITECTURE.md, "Paged KV & prefix cache"):
 //   * A page becomes IMMUTABLE when it is published to the prefix index;
@@ -17,11 +17,15 @@
 //     pages, releasing the shared ones. That rewrite IS the copy-on-write:
 //     divergence after a shared prefix costs one page copy, never a lock on
 //     the readers of the shared image.
-//   * The chain hash for page p covers the Q, K and V row bytes of tokens
-//     [p*P, (p+1)*P) chained with page p-1's hash, so a hit certifies the
-//     whole prefix, not one block. K/V are additionally verified by memcmp
-//     against the stored page on lookup; Q (which only influences the
-//     stored outputs) is trusted to the 64-bit chain hash.
+//   * Every prompt row carries a 64-bit row key that determines its Q, K
+//     and V rows (runtime/engine.h, prompt_row_keys). The chain hash for
+//     page p is an XXH64 digest of the row keys of tokens [p*P, (p+1)*P)
+//     chained with page p-1's hash, and an index entry stores its page's
+//     keys: a lookup compares them exactly, so equal keys certify equal
+//     K/V (and Q, which only influences the stored outputs). The fold is a
+//     bijection in the previous chain value, so a hit on page p whose keys
+//     match also pins the keys of every earlier page: a chain collision
+//     can make a lookup miss, never attach a different prefix.
 //
 // Thread safety: all arena mutations (alloc/retain/release/publish/lookup)
 // take the arena mutex. Page payload pointers are stable for the arena's
@@ -35,6 +39,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -93,17 +98,18 @@ class KvPageArena {
   // ---- Prefix index ----------------------------------------------------
 
   // Publishes `page` as the immutable shared image for `chain_hash`,
-  // storing a copy of the cold run's attention output rows (page_tokens x
-  // head_dim floats). The index retains the page. First publisher wins:
-  // returns false (and changes nothing) when the hash is already present.
-  bool prefix_publish(std::uint64_t chain_hash, Index page, const float* out_rows);
+  // storing the page's row keys (page_tokens of them) and a copy of the
+  // cold run's attention output rows (page_tokens x head_dim floats). The
+  // index retains the page. First publisher wins: returns false (and
+  // changes nothing) when the hash is already present.
+  bool prefix_publish(std::uint64_t chain_hash, std::span<const std::uint64_t> row_keys,
+                      Index page, const float* out_rows);
 
-  // Probes the index. On a hit the stored K/V payload is verified against
-  // the expected rows (page_tokens x head_dim floats each; memcmp), the
-  // page is retained FOR THE CALLER, the stored output rows are copied to
-  // `out_rows`, and the page's payload ref is returned. Returns id -1 on a
-  // miss or a verification failure.
-  PageRef prefix_lookup(std::uint64_t chain_hash, const float* k_expect, const float* v_expect,
+  // Probes the index. A hit needs the stored row keys to equal `row_keys`
+  // (page_tokens of them) exactly; then the page is retained FOR THE
+  // CALLER, the stored output rows are copied to `out_rows` unless it is
+  // null, and the page's payload ref is returned. Returns id -1 on a miss.
+  PageRef prefix_lookup(std::uint64_t chain_hash, std::span<const std::uint64_t> row_keys,
                         float* out_rows);
 
   Index prefix_entries() const;
@@ -122,6 +128,7 @@ class KvPageArena {
   };
   struct PrefixEntry {
     Index page = -1;
+    std::vector<std::uint64_t> row_keys;
     std::vector<float> out_rows;
   };
 
@@ -138,20 +145,14 @@ class KvPageArena {
   std::unordered_map<std::uint64_t, PrefixEntry> prefix_;
 };
 
-// Prefix chain hash. A page's digest is a 64-bit XXH64 word hash over the
-// Q, K and V row bytes of its tokens [lo, hi) and depends on nothing else,
-// so the digests of a prompt's pages can be computed in parallel. The chain
-// folds them in page order, seeded with kPrefixChainSeed:
-//   chain(p) = prefix_chain_fold(chain(p - 1), prefix_page_digest(page p)),
+// Prefix chain hash. A page's digest is XXH64 over the row keys of its
+// tokens, so it depends on nothing else. The chain folds the digests in
+// page order, seeded with kPrefixChainSeed:
+//   chain(p) = prefix_chain_fold(chain(p - 1), prefix_page_digest(keys of page p)),
 // so a page's chain value commits to its whole prefix. The fold is a
-// bijection in each argument followed by a full avalanche. Q is trusted to
-// this hash (see "Sharing rules"), so both steps stay full-strength 64-bit
-// mixes. Identical declared content yields identical chains, which is what
-// makes cross-request prefix hits sound.
+// bijection in each argument followed by a full avalanche.
 inline constexpr std::uint64_t kPrefixChainSeed = 0xcbf29ce484222325ull;
-std::uint64_t prefix_page_digest(const AttentionInput& in, Index lo, Index hi);
+std::uint64_t prefix_page_digest(std::span<const std::uint64_t> page_keys);
 std::uint64_t prefix_chain_fold(std::uint64_t prev, std::uint64_t digest);
-// prefix_chain_fold(prev, prefix_page_digest(in, lo, hi)).
-std::uint64_t prefix_chain_hash(std::uint64_t prev, const AttentionInput& in, Index lo, Index hi);
 
 }  // namespace sattn

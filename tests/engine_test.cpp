@@ -14,6 +14,8 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -336,17 +338,22 @@ std::uint64_t reference_mix_id(std::uint64_t seed, const std::string& id) {
   return h;
 }
 
-void reference_fill_segmented(AttentionInput& in, const ServingRequest& req, std::uint64_t seed) {
+// The serial fill of a segmented prompt, row by row: Q, K and V of row r
+// drawn from the row's key alone. Returns the keys.
+std::vector<std::uint64_t> reference_fill_segmented(AttentionInput& in, const ServingRequest& req,
+                                                    std::uint64_t seed) {
   const auto fill_row = [](std::span<float> row, std::uint64_t key) {
     Rng rng(key);
     for (float& x : row) x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
   };
   const Index s = in.sq();
+  std::vector<std::uint64_t> keys;
   Index r = 0;
   const auto fill_rows = [&](std::uint64_t base, Index hi) {
     for (; r < hi; ++r) {
       std::uint64_t h = base ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(r) + 1));
       h *= 0x100000001b3ull;
+      keys.push_back(h);
       fill_row(in.q.row(r), h ^ 0x51ull);
       fill_row(in.k.row(r), h ^ 0x4bull);
       fill_row(in.v.row(r), h ^ 0x56ull);
@@ -358,13 +365,41 @@ void reference_fill_segmented(AttentionInput& in, const ServingRequest& req, std
               std::min(s, r + std::max<Index>(0, seg.tokens)));
   }
   fill_rows(reference_mix_id(seed, "req/" + req.id), s);
+  return keys;
+}
+
+AttentionInput sized_input(Index s, Index d) {
+  AttentionInput in;
+  in.q.resize(s, d);
+  in.k.resize(s, d);
+  in.v.resize(s, d);
+  return in;
+}
+
+// Expects q (rows lo..) and the cache's K/V rows lo.. to equal `want`'s.
+void expect_rows_from(const AttentionInput& want, Index lo, const Matrix& q, const KVCache& cache,
+                      const std::string& what) {
+  const Index s = want.sq(), d = want.head_dim();
+  ASSERT_EQ(q.rows(), s - lo) << what;
+  ASSERT_EQ(cache.size(), s) << what;
+  for (Index r = lo; r < s; ++r) {
+    for (Index c = 0; c < d; ++c) {
+      ASSERT_EQ(q(r - lo, c), want.q(r, c)) << what << " q row " << r << " col " << c;
+      ASSERT_EQ(cache.k(r)[c], want.k(r, c)) << what << " k row " << r << " col " << c;
+      ASSERT_EQ(cache.v(r)[c], want.v(r, c)) << what << " v row " << r << " col " << c;
+    }
+  }
 }
 
 TEST(SegmentedFill, ParallelRowBlocksEqualTheSerialFill) {
-  // fill_segmented fills row blocks on the pool; every float must equal
-  // the serial fill's. Cases: one-row prompts, 0-token and negative
-  // segments, segments that run past the prompt, segment boundaries inside
-  // and between blocks, and a private tail.
+  // synthesize_prompt fills page-sized row blocks on the pool, Q into a
+  // matrix of the rows past the cache's prefix and K/V straight into the
+  // cache's pages; every float must equal the serial fill's, and
+  // prompt_row_keys must give each row its serial key. Each case runs from
+  // an empty cache and past a prefix the cache already holds, on 16- and
+  // 64-token pages. Cases: one-row prompts, 0-token and negative segments,
+  // segments that run past the prompt, segment boundaries inside and
+  // between blocks, and a private tail.
   struct Case {
     Index tokens;
     std::vector<ContentSegment> segs;
@@ -380,21 +415,65 @@ TEST(SegmentedFill, ParallelRowBlocksEqualTheSerialFill) {
       {130, {{"a", 1}, {"b", 1}, {"c", 1}, {"d", 63}, {"e", 64}}},
   };
   const Index d = 24;
+  const std::uint64_t seed = 0x5eedull;
   for (const Case& c : cases) {
     const ServingRequest req("r/" + std::to_string(c.tokens), c.tokens, 0.0, c.segs);
-    AttentionInput got, want;
-    for (AttentionInput* in : {&got, &want}) {
-      in->q.resize(c.tokens, d);
-      in->k.resize(c.tokens, d);
-      in->v.resize(c.tokens, d);
-    }
-    fill_segmented(got, req, 0x5eedull);
-    reference_fill_segmented(want, req, 0x5eedull);
-    for (const auto& [g, w] : {std::pair{&got.q, &want.q}, {&got.k, &want.k}, {&got.v, &want.v}}) {
-      for (Index i = 0; i < g->size(); ++i) {
-        ASSERT_EQ(g->data()[i], w->data()[i]) << req.id << " float " << i;
+    AttentionInput want = sized_input(c.tokens, d);
+    const std::vector<std::uint64_t> want_keys = reference_fill_segmented(want, req, seed);
+    const std::vector<std::uint64_t> keys = prompt_row_keys(req, seed);
+    ASSERT_EQ(keys, want_keys) << req.id;
+    Matrix dec_want(3, d);
+    Rng dec_rng(reference_mix_id(seed, "dec/" + req.id));
+    for (float& x : std::span(dec_want.data(), static_cast<std::size_t>(dec_want.size())))
+      x = static_cast<float>(dec_rng.uniform() * 2.0 - 1.0);
+    for (const Index P : {Index{16}, Index{64}}) {
+      for (const Index lo : {Index{0}, c.tokens / 2, c.tokens / 2 / P * P}) {
+        KVCache cache(d, std::make_shared<KvPageArena>(d, P));
+        ASSERT_TRUE(cache.extend(lo).ok());
+        Matrix q, dec_q(3, d);
+        synthesize_prompt(req, seed, keys, cache, q, dec_q);
+        const std::string what = req.id + " P " + std::to_string(P) + " lo " + std::to_string(lo);
+        expect_rows_from(want, lo, q, cache, what);
+        ASSERT_EQ(std::memcmp(dec_q.data(), dec_want.data(), dec_q.size() * sizeof(float)), 0)
+            << what;
       }
     }
+  }
+}
+
+TEST(SegmentedFill, SegmentlessPromptKeepsItsOneSequentialStream) {
+  // A segment-less prompt is one Rng stream seeded by its id — all Q rows,
+  // then K, then V, then the decode queries — as the pre-paging engine drew
+  // it; past a prefix the rows below it are drawn and dropped. Its row keys
+  // name (seed, id, length): equal for an equal request, different when
+  // either the id or the length differs.
+  const Index d = 8, s = 150;
+  const std::uint64_t seed = 0x5eedull;
+  const ServingRequest req("plain", s, 0.0);
+  AttentionInput want = sized_input(s, d);
+  Matrix dec_want(2, d);
+  Rng rng(reference_mix_id(seed, req.id));
+  for (Matrix* m : {&want.q, &want.k, &want.v, &dec_want}) {
+    for (float& x : std::span(m->data(), static_cast<std::size_t>(m->size())))
+      x = static_cast<float>(rng.uniform() * 2.0 - 1.0);
+  }
+  const std::vector<std::uint64_t> keys = prompt_row_keys(req, seed);
+  ASSERT_EQ(static_cast<Index>(keys.size()), s);
+  for (const Index lo : {Index{0}, Index{64}, Index{149}}) {
+    KVCache cache(d, std::make_shared<KvPageArena>(d, 64));
+    ASSERT_TRUE(cache.extend(lo).ok());
+    Matrix q, dec_q(2, d);
+    synthesize_prompt(req, seed, keys, cache, q, dec_q);
+    expect_rows_from(want, lo, q, cache, "lo " + std::to_string(lo));
+    ASSERT_EQ(std::memcmp(dec_q.data(), dec_want.data(), dec_q.size() * sizeof(float)), 0);
+  }
+  EXPECT_EQ(prompt_row_keys(ServingRequest("plain", s, 1.0), seed), keys);
+  const std::vector<std::uint64_t> longer =
+      prompt_row_keys(ServingRequest("plain", s + 1, 0.0), seed);
+  const std::vector<std::uint64_t> other = prompt_row_keys(ServingRequest("other", s, 0.0), seed);
+  for (Index r = 0; r < s; ++r) {
+    EXPECT_NE(longer[r], keys[r]) << "row " << r;
+    EXPECT_NE(other[r], keys[r]) << "row " << r;
   }
 }
 
@@ -783,6 +862,238 @@ TEST(ServingEngineTest, WarmPrefixAttachSkipsPrefillComputeAndCutsTtft) {
   EXPECT_EQ(opts.kv_arena->pages_live(), opts.kv_arena->prefix_entries());
   EXPECT_EQ(opts.kv_arena->pages_allocated() - opts.kv_arena->pages_freed(),
             opts.kv_arena->pages_live());
+}
+
+// ---------------------------------------------------------------------------
+// Engine prefix cache: row keys, synthesis past the hit, K/V only in pages.
+
+// The whole prompt of `req` filled from its row keys, as one flat input.
+AttentionInput filled_prompt(const ServingRequest& req, std::uint64_t seed, Index d) {
+  KVCache cache(d, std::make_shared<KvPageArena>(d));
+  Matrix q, dec_q;
+  synthesize_prompt(req, seed, prompt_row_keys(req, seed), cache, q, dec_q);
+  AttentionInput in = sized_input(req.prompt_tokens, d);
+  in.q = q;
+  for (Index r = 0; r < req.prompt_tokens; ++r) {
+    std::ranges::copy(cache.k(r), in.k.row(r).begin());
+    std::ranges::copy(cache.v(r), in.v.row(r).begin());
+  }
+  return in;
+}
+
+const EngineCompletion* completion_of(const EngineResult& res, const std::string& id) {
+  for (const EngineCompletion& c : res.completed)
+    if (c.base.request.id == id) return &c;
+  return nullptr;
+}
+
+// Obs is on for the whole suite: some cases read spans and counters.
+class EnginePrefix : public EngineObs {};
+
+TEST_F(EnginePrefix, PublishedPagesHoldFlashOutputsOfTheFilledPrompt) {
+  // A seeded dense trace: every request shares a system segment, most
+  // share a conversation segment with one or two others, and each has a
+  // private tail, so pages are published both by cold requests and past
+  // attached prefixes. Every published page, read back through its row
+  // keys, holds the K/V rows those keys fill and, bit for bit, the outputs
+  // flash_attention gives over the whole filled prompt.
+  EngineOptions opts = small_engine();
+  opts.seed = 0x7e57ull;
+  const Index P = 16, d = opts.head_dim;
+  opts.kv_arena = std::make_shared<KvPageArena>(d, P);
+  Rng rng(0x9a9eull);
+  std::vector<ServingRequest> trace;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<ContentSegment> segs = {{"sys", 96}};
+    if (i % 3 != 0) segs.push_back({"conv/" + std::to_string(i % 4), 40});
+    trace.emplace_back("p" + std::to_string(i), 137 + rng.uniform_index(100), 0.002 * i, segs);
+  }
+  {
+    ServingEngine engine(opts);
+    const EngineResult res = engine.run_trace(trace);
+    ASSERT_EQ(res.completed.size(), trace.size());
+    EXPECT_GT(res.kv_prefix_hits, 0);
+  }
+  KvPageArena& arena = *opts.kv_arena;
+  std::set<Index> read_back;
+  std::vector<float> out_rows(static_cast<std::size_t>(P * d));
+  for (const ServingRequest& req : trace) {
+    const std::vector<std::uint64_t> keys = prompt_row_keys(req, opts.seed);
+    const AttentionInput in = filled_prompt(req, opts.seed, d);
+    Matrix ref;
+    flash_attention(in, ref);
+    std::uint64_t chain = kPrefixChainSeed;
+    for (Index p = 0; p < req.prompt_tokens / P; ++p) {
+      const auto page_keys = std::span(keys).subspan(static_cast<std::size_t>(p * P), P);
+      chain = prefix_chain_fold(chain, prefix_page_digest(page_keys));
+      const KvPageArena::PageRef page = arena.prefix_lookup(chain, page_keys, out_rows.data());
+      if (page.id < 0) break;  // the rest of this prompt was never published
+      read_back.insert(page.id);
+      const std::size_t off = static_cast<std::size_t>(p * P * d);
+      const std::size_t bytes = static_cast<std::size_t>(P * d) * sizeof(float);
+      EXPECT_EQ(std::memcmp(page.k, in.k.data() + off, bytes), 0) << req.id << " page " << p;
+      EXPECT_EQ(std::memcmp(page.v, in.v.data() + off, bytes), 0) << req.id << " page " << p;
+      EXPECT_EQ(std::memcmp(out_rows.data(), ref.data() + off, bytes), 0)
+          << req.id << " page " << p << " outputs";
+      arena.release(page.id);
+    }
+  }
+  EXPECT_EQ(static_cast<Index>(read_back.size()), arena.prefix_entries());
+  EXPECT_EQ(arena.pages_live(), arena.prefix_entries()) << "leaked pages";
+}
+
+TEST_F(EnginePrefix, SharerAdmittedBeforeItsPublisherAttachesAtItsFirstChunk) {
+  // Two requests with the same 1024-token prompt, submitted together: with
+  // one batch slot, one prefills all its chunks first while the other, its
+  // admission probe having missed (nothing was published), waits admitted.
+  // Its first-chunk re-probe attaches the publisher's pages.
+  EngineOptions opts = small_engine();
+  opts.max_batch = 1;
+  opts.decode_tokens = 0;
+  const std::vector<ContentSegment> sys = {{"sys", 1024}};
+  ServingEngine engine(opts);
+  const EngineResult res =
+      engine.run_trace(std::vector<ServingRequest>{{"a", 1024, 0.0, sys}, {"b", 1024, 0.0, sys}});
+  ASSERT_EQ(res.completed.size(), 2u);
+  ASSERT_EQ(res.kv_prefix_hits, 1);
+  const bool a_hit = completion_of(res, "a")->prefix_hit_tokens > 0;
+  const std::string publisher = a_hit ? "b" : "a", sharer = a_hit ? "a" : "b";
+  EXPECT_EQ(completion_of(res, sharer)->prefix_hit_tokens, 960);
+  EXPECT_EQ(completion_of(res, publisher)->prefix_hit_tokens, 0);
+
+  // The sharer was admitted before the publisher's last chunk started, so
+  // before anything was published: the hit came from the re-probe.
+  double sharer_admit = -1.0, publisher_last_chunk = -1.0;
+  for (const obs::SpanRecord& sp : obs::Collector::global().spans()) {
+    if (sp.name == "engine/admit" && sp.request_id == "t/" + sharer) sharer_admit = sp.start_us;
+    if (sp.name == "seq/prefill_chunk" && sp.request_id == "t/" + publisher)
+      publisher_last_chunk = std::max(publisher_last_chunk, sp.start_us);
+  }
+  ASSERT_GE(sharer_admit, 0.0);
+  EXPECT_LT(sharer_admit, publisher_last_chunk);
+}
+
+TEST_F(EnginePrefix, BudgetWaiterAttachesAfterItsRelease) {
+  // The KV budget fits one unshared 1024-token prompt at a time: the second
+  // request waits behind the first, and once released it attaches the
+  // pages the first one published instead of computing them.
+  EngineOptions opts = small_engine();
+  opts.kv_budget_bytes = 300000.0;  // 1024 tokens x 256 B = 262144 B each
+  opts.kv_eviction = EvictionKind::kNone;
+  const std::vector<ContentSegment> sys = {{"sys", 1024}};
+  ServingEngine engine(opts);
+  const EngineResult res =
+      engine.run_trace(std::vector<ServingRequest>{{"a", 1024, 0.0, sys}, {"b", 1024, 0.0, sys}});
+  ASSERT_EQ(res.completed.size(), 2u);
+  EXPECT_EQ(res.kv_pressure_waits, 1);
+  EXPECT_EQ(res.kv_prefix_hits, 1);
+  EXPECT_EQ(completion_of(res, "a")->prefix_hit_tokens + completion_of(res, "b")->prefix_hit_tokens,
+            960);
+}
+
+TEST_F(EnginePrefix, ShedOrCancelledBeforeItsFirstChunkAllocatesNoPage) {
+  // Admission computes row keys and attaches shared pages; it allocates
+  // nothing. A blocker attaches 960 of its 1024 tokens, synthesizes one
+  // private page at its first chunk, and then holds the KV budget through
+  // a retry backoff. Behind it, a request too large for the whole budget
+  // sheds and one that must wait is cancelled: the arena's allocation
+  // count does not move.
+  EngineOptions opts = small_engine();
+  opts.kv_arena = std::make_shared<KvPageArena>(opts.head_dim, opts.kv_page_tokens);
+  const std::vector<ContentSegment> sys = {{"sys", 1024}};
+  {
+    ServingEngine cold(opts);
+    ASSERT_EQ(cold.run_trace(std::vector<ServingRequest>{{"cold", 1024, 0.0, sys}})
+                  .completed.size(),
+              1u);
+  }
+  opts.kv_budget_bytes = 300000.0;  // the blocker needs 262144 B
+  opts.kv_eviction = EvictionKind::kNone;
+  opts.fault = {FaultClass::kTensorNaN, 1.0, 0x7ull, /*max_fires=*/1};
+  opts.max_retries = 1;
+  opts.retry_backoff_seconds = 0.5;
+  const auto wait_for = [](const char* counter) {
+    for (int i = 0; i < 500 && counter_value(counter) < 1.0; ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    return counter_value(counter) >= 1.0;
+  };
+  ServingEngine engine(opts);
+  engine.start();
+  ASSERT_TRUE(engine.submit({"blocker", 1024, 0.0, sys}).ok());
+  // Its first chunk faulted: it has synthesized and now waits out the backoff.
+  ASSERT_TRUE(wait_for("sched.request_retries"));
+  const long long allocated = opts.kv_arena->pages_allocated();
+  ASSERT_TRUE(engine.submit({"huge", 2048, 0.0}).ok());  // 524288 B: over the whole budget
+  ASSERT_TRUE(engine.submit({"waiter", 200, 0.0}).ok());  // 51200 B: waits on the blocker
+  ASSERT_TRUE(wait_for("engine.kv_pressure_waits"));
+  engine.cancel("waiter");
+  const EngineResult res = engine.finish();
+
+  ASSERT_EQ(res.completed.size(), 1u);
+  EXPECT_EQ(res.completed[0].prefix_hit_tokens, 960);
+  ASSERT_EQ(res.shed.size(), 1u);
+  EXPECT_EQ(res.shed[0].request.id, "huge");
+  EXPECT_EQ(res.shed[0].reason, "kv_budget");
+  ASSERT_EQ(res.cancelled.size(), 1u);
+  EXPECT_EQ(res.cancelled[0].base.request.id, "waiter");
+  EXPECT_EQ(res.cancelled[0].reason, "cancel");
+  EXPECT_EQ(opts.kv_arena->pages_allocated(), allocated);
+  EXPECT_EQ(opts.kv_arena->pages_live(), opts.kv_arena->prefix_entries()) << "leaked pages";
+}
+
+TEST_F(EnginePrefix, FaultedFirstChunkReprobesAtItsRetry) {
+  // One batch slot, every request's first chunk faults once. The second
+  // request's first chunk runs (and faults) while the first backs off, so
+  // it has synthesized its rows before anything is published; the first
+  // then finishes and publishes. At its retry the second drops its rows,
+  // probes again and attaches the first one's pages.
+  EngineOptions opts = small_engine();
+  opts.max_batch = 1;
+  opts.decode_tokens = 0;
+  opts.fault = {FaultClass::kTensorNaN, 1.0, 0x7ull, /*max_fires=*/1};
+  opts.max_retries = 1;
+  opts.retry_backoff_seconds = 0.01;
+  const std::vector<ContentSegment> sys = {{"sys", 1024}};
+  ServingEngine engine(opts);
+  const EngineResult res =
+      engine.run_trace(std::vector<ServingRequest>{{"a", 1024, 0.0, sys}, {"b", 1024, 0.0, sys}});
+  ASSERT_EQ(res.completed.size(), 2u);
+  EXPECT_EQ(res.retries, 2);
+  EXPECT_EQ(completion_of(res, "a")->prefix_hit_tokens, 0);
+  EXPECT_EQ(completion_of(res, "b")->prefix_hit_tokens, 960);
+}
+
+TEST_F(EnginePrefix, PrefillingRequestBillsItsShareAndTheRowsPastItsHit) {
+  // A prefilling request's KV demand is its attached pages' counted-once
+  // share plus per-token bytes for the rows past its hit, before and after
+  // those rows are synthesized into private pages. The blocker (960
+  // attached tokens, 64 synthesized into one page) bills 245760 + 16384 B
+  // while it backs off, so a 128-token request (32768 B) fits beside it
+  // under a 300000 B budget.
+  EngineOptions opts = small_engine();
+  opts.kv_arena = std::make_shared<KvPageArena>(opts.head_dim, opts.kv_page_tokens);
+  const std::vector<ContentSegment> sys = {{"sys", 1024}};
+  {
+    ServingEngine cold(opts);
+    ASSERT_EQ(cold.run_trace(std::vector<ServingRequest>{{"cold", 1024, 0.0, sys}})
+                  .completed.size(),
+              1u);
+  }
+  opts.kv_budget_bytes = 300000.0;
+  opts.kv_eviction = EvictionKind::kNone;
+  opts.fault = {FaultClass::kTensorNaN, 1.0, 0x7ull, /*max_fires=*/1};
+  opts.max_retries = 1;
+  opts.retry_backoff_seconds = 0.2;
+  ServingEngine engine(opts);
+  engine.start();
+  ASSERT_TRUE(engine.submit({"blocker", 1024, 0.0, sys}).ok());
+  for (int i = 0; i < 500 && counter_value("sched.request_retries") < 1.0; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_TRUE(engine.submit({"fits", 128, 0.0}).ok());
+  const EngineResult res = engine.finish();
+  ASSERT_EQ(res.completed.size(), 2u);
+  EXPECT_EQ(res.kv_pressure_waits, 0);
+  EXPECT_DOUBLE_EQ(res.peak_kv_bytes, 262144.0 + 32768.0);
 }
 
 TEST(ServingEngineTest, SparseResidencyRetainsFewerPagesThanDense) {

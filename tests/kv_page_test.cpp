@@ -1,7 +1,7 @@
 // Tests for the paged KV arena (runtime/kv_page.h) and the paged KVCache
 // (runtime/kv_cache.h): refcount/freelist correctness, page-granular
 // eviction, copy-on-write divergence after a shared prefix, counted-once
-// byte accounting, the content-hash prefix index and its chain hash, a
+// byte accounting, the row-key prefix index and its chain hash, a
 // seeded fuzz over page sizes and prefix splits, and — the load-bearing
 // contract — bit-identical kernel reads through the page table for the
 // dense, sparse and block-sparse kernels plus decode.
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -36,6 +37,26 @@ AttentionInput random_input(Index sq, Index sk, Index d, std::uint64_t seed) {
   rng.fill_normal(in.k);
   rng.fill_normal(in.v);
   return in;
+}
+
+// Row keys for random_input(n, n, d, seed)'s rows: one random key per row,
+// so two prompts share a key exactly where a test copies rows across.
+std::vector<std::uint64_t> keys_for(Index n, std::uint64_t seed) {
+  std::vector<std::uint64_t> keys(static_cast<std::size_t>(n));
+  Rng rng(seed ^ 0x6b657973ull);
+  for (std::uint64_t& k : keys) k = rng.next_u64();
+  return keys;
+}
+
+// Copies rows [0, n) of a's Q, K, V and keys into b's.
+void share_rows(const AttentionInput& a, const std::vector<std::uint64_t>& a_keys, Index n,
+                AttentionInput& b, std::vector<std::uint64_t>& b_keys) {
+  for (Index r = 0; r < n; ++r) {
+    std::copy(a.q.row(r).begin(), a.q.row(r).end(), b.q.row(r).begin());
+    std::copy(a.k.row(r).begin(), a.k.row(r).end(), b.k.row(r).begin());
+    std::copy(a.v.row(r).begin(), a.v.row(r).end(), b.v.row(r).begin());
+    b_keys[static_cast<std::size_t>(r)] = a_keys[static_cast<std::size_t>(r)];
+  }
 }
 
 void expect_bit_identical(const Matrix& a, const Matrix& b, const char* what) {
@@ -256,11 +277,19 @@ TEST(PagedKvCache, AllSweepRoutesBitIdenticalThroughPageTable) {
 TEST(PrefixCache, ChunkedPrefillWarmRunHitsAndIsBitIdentical) {
   const Index s = 256, d = 16, chunk = 64;
   const AttentionInput in = random_input(s, s, d, 0xe5ull);
+  const std::vector<std::uint64_t> keys = keys_for(s, 0xe5ull);
   auto arena = std::make_shared<KvPageArena>(d, /*page_tokens=*/64);
+
+  // Without row keys nothing is shared: no probe, no publish.
+  {
+    KVCache anon(d, arena);
+    ASSERT_TRUE(chunked_flash_prefill(in, chunk, &anon).ok());
+    EXPECT_EQ(arena->prefix_entries(), 0);
+  }
 
   // Cold run computes everything and publishes the prompt's pages.
   KVCache cold(d, arena);
-  const auto cold_res = chunked_flash_prefill(in, chunk, &cold);
+  const auto cold_res = chunked_flash_prefill(in, chunk, &cold, keys);
   ASSERT_TRUE(cold_res.ok());
   EXPECT_EQ(cold_res->prefix_hit_tokens, 0);
   EXPECT_EQ(cold_res->chunks, 4);
@@ -271,7 +300,7 @@ TEST(PrefixCache, ChunkedPrefillWarmRunHitsAndIsBitIdentical) {
   // compute, outputs are bit-identical, and the K/V pages are physically
   // shared (same arena page ids).
   KVCache warm(d, arena);
-  const auto warm_res = chunked_flash_prefill(in, chunk, &warm);
+  const auto warm_res = chunked_flash_prefill(in, chunk, &warm, keys);
   ASSERT_TRUE(warm_res.ok());
   EXPECT_EQ(warm_res->prefix_hit_tokens, s);
   EXPECT_EQ(warm_res->chunks, 0);
@@ -286,13 +315,10 @@ TEST(PrefixCache, ChunkedPrefillWarmRunHitsAndIsBitIdentical) {
 
   // A prompt sharing only the first two pages attaches exactly those.
   AttentionInput half = random_input(s, s, d, 0xe6ull);
-  for (Index r = 0; r < 128; ++r) {
-    std::copy(in.q.row(r).begin(), in.q.row(r).end(), half.q.row(r).begin());
-    std::copy(in.k.row(r).begin(), in.k.row(r).end(), half.k.row(r).begin());
-    std::copy(in.v.row(r).begin(), in.v.row(r).end(), half.v.row(r).begin());
-  }
+  std::vector<std::uint64_t> half_keys = keys_for(s, 0xe6ull);
+  share_rows(in, keys, 128, half, half_keys);
   KVCache part(d, arena);
-  const auto part_res = chunked_flash_prefill(half, chunk, &part);
+  const auto part_res = chunked_flash_prefill(half, chunk, &part, half_keys);
   ASSERT_TRUE(part_res.ok());
   EXPECT_EQ(part_res->prefix_hit_tokens, 128);
   EXPECT_EQ(part_res->chunks, 2);
@@ -305,12 +331,13 @@ TEST(PrefixCache, ChunkedPrefillWarmRunHitsAndIsBitIdentical) {
 TEST(PrefixCache, CowDivergenceAfterSharedPrefixLeavesPublisherIntact) {
   const Index s = 128, d = 16;
   const AttentionInput in = random_input(s, s, d, 0xf7ull);
+  const std::vector<std::uint64_t> keys = keys_for(s, 0xf7ull);
   auto arena = std::make_shared<KvPageArena>(d, /*page_tokens=*/64);
 
   KVCache cold(d, arena);
-  ASSERT_TRUE(chunked_flash_prefill(in, 64, &cold).ok());
+  ASSERT_TRUE(chunked_flash_prefill(in, 64, &cold, keys).ok());
   KVCache warm(d, arena);
-  ASSERT_TRUE(chunked_flash_prefill(in, 64, &warm).ok());
+  ASSERT_TRUE(chunked_flash_prefill(in, 64, &warm, keys).ok());
   ASSERT_EQ(warm.shared_pages(), 2);
   const float cold_first = cold.k(0)[0];
 
@@ -332,22 +359,23 @@ TEST(PrefixCache, CowDivergenceAfterSharedPrefixLeavesPublisherIntact) {
   // A third request still hits the intact published chain.
   KVCache again(d, arena);
   Matrix out(s, d);
-  EXPECT_EQ(again.try_attach_prefix(in, s, &out), s);
+  EXPECT_EQ(again.try_attach_prefix(keys, s, &out), s);
 }
 
 TEST(PrefixCache, BytesCountedOnceAcrossSharers) {
   const Index s = 128, d = 16;
   const AttentionInput in = random_input(s, s, d, 0x1a8ull);
+  const std::vector<std::uint64_t> keys = keys_for(s, 0x1a8ull);
   auto arena = std::make_shared<KvPageArena>(d, /*page_tokens=*/64);
   const double page_bytes = arena->page_bytes();
 
   KVCache a(d, arena);
-  ASSERT_TRUE(chunked_flash_prefill(in, 64, &a).ok());
+  ASSERT_TRUE(chunked_flash_prefill(in, 64, &a, keys).ok());
   // Sole owner (the index's hold is excluded): full price for 2 pages.
   EXPECT_DOUBLE_EQ(a.bytes(), 2.0 * page_bytes);
 
   KVCache b(d, arena);
-  ASSERT_TRUE(chunked_flash_prefill(in, 64, &b).ok());
+  ASSERT_TRUE(chunked_flash_prefill(in, 64, &b, keys).ok());
   // Two owners: each cache bills half, the sum counts every page once.
   EXPECT_DOUBLE_EQ(a.bytes(), page_bytes);
   EXPECT_DOUBLE_EQ(b.bytes(), page_bytes);
@@ -363,12 +391,13 @@ TEST(PrefixCache, BytesCountedOnceAcrossSharers) {
 TEST(PrefixCache, ReleaseOnDestructionLeavesOnlyIndexHeldPages) {
   const Index s = 192, d = 16;
   const AttentionInput in = random_input(s, s, d, 0x2b9ull);
+  const std::vector<std::uint64_t> keys = keys_for(s, 0x2b9ull);
   auto arena = std::make_shared<KvPageArena>(d, /*page_tokens=*/64);
   {
     KVCache a(d, arena);
-    ASSERT_TRUE(chunked_flash_prefill(in, 64, &a).ok());
+    ASSERT_TRUE(chunked_flash_prefill(in, 64, &a, keys).ok());
     KVCache b(d, arena);
-    ASSERT_TRUE(chunked_flash_prefill(in, 64, &b).ok());
+    ASSERT_TRUE(chunked_flash_prefill(in, 64, &b, keys).ok());
     EXPECT_EQ(arena->pages_live(), 3);
   }
   // Caches died; the published images stay resident for future requests —
@@ -381,47 +410,47 @@ TEST(PrefixCache, ReleaseOnDestructionLeavesOnlyIndexHeldPages) {
   // And they are still attachable.
   KVCache late(d, arena);
   Matrix out(s, d);
-  EXPECT_EQ(late.try_attach_prefix(in, s, &out), s);
+  EXPECT_EQ(late.try_attach_prefix(keys, s, &out), s);
 }
 
 TEST(PrefixCache, ChainContinuedPastAttachedPagesEqualsTheRehashedChain) {
-  // A cache hashes each page of its prompt once: a publish continues the
-  // chain from the attached pages' stored hashes instead of re-hashing from
-  // page 0. The continued chain must be the one a from-scratch hash gives.
+  // A warm request that attached a prefix publishes only the pages past
+  // it, each under the chain a from-scratch fold over its row keys gives.
   const Index s = 256, d = 16, P = 64;
   const AttentionInput warm_in = random_input(s, s, d, 0x4d1ull);
+  const std::vector<std::uint64_t> warm_keys = keys_for(s, 0x4d1ull);
   AttentionInput cold_in = random_input(128, 128, d, 0x4d2ull);
-  for (Index r = 0; r < 128; ++r) {  // cold shares warm's first two pages
-    std::copy(warm_in.q.row(r).begin(), warm_in.q.row(r).end(), cold_in.q.row(r).begin());
-    std::copy(warm_in.k.row(r).begin(), warm_in.k.row(r).end(), cold_in.k.row(r).begin());
-    std::copy(warm_in.v.row(r).begin(), warm_in.v.row(r).end(), cold_in.v.row(r).begin());
-  }
+  std::vector<std::uint64_t> cold_keys = keys_for(128, 0x4d2ull);
+  share_rows(warm_in, warm_keys, 128, cold_in, cold_keys);  // cold shares two pages
   auto arena = std::make_shared<KvPageArena>(d, P);
 
   // A warm request probes before anything is published: a miss.
   KVCache warm(d, arena);
   Matrix warm_out(s, d);
-  ASSERT_EQ(warm.try_attach_prefix(warm_in, s, &warm_out), 0);
+  ASSERT_EQ(warm.try_attach_prefix(warm_keys, s, &warm_out), 0);
 
   // 1. A cold request publishes its two pages.
   KVCache cold(d, arena);
-  ASSERT_TRUE(chunked_flash_prefill(cold_in, 64, &cold).ok());
+  ASSERT_TRUE(chunked_flash_prefill(cold_in, 64, &cold, cold_keys).ok());
   ASSERT_EQ(arena->prefix_entries(), 2);
 
   // 2. The warm request re-probes (as the engine does when it schedules a
   //    first chunk) and attaches them, computes the rest of its prompt, and
-  //    publishes only its own two pages.
-  ASSERT_EQ(warm.try_attach_prefix(warm_in, s, &warm_out), 128);
+  //    publishes only its own two pages, from outputs that start past the
+  //    attached rows.
+  ASSERT_EQ(warm.try_attach_prefix(warm_keys, s, &warm_out), 128);
   EXPECT_EQ(warm.k(0).data(), cold.k(0).data());
   Matrix full;
   flash_attention(warm_in, full);
   std::copy(full.row(128).data(), full.data() + s * d, warm_out.row(128).data());
+  Matrix suffix_out(s - 128, d);
+  std::copy(full.row(128).data(), full.data() + s * d, suffix_out.data());
   ASSERT_TRUE(warm.append_prefill(warm_in).ok());
-  EXPECT_EQ(warm.publish_prefix(warm_in, warm_out), 2);
+  EXPECT_EQ(warm.publish_prefix(warm_keys, suffix_out, 128), 2);
   EXPECT_EQ(arena->prefix_entries(), 4);
   EXPECT_EQ(warm.shared_pages(), 4);
-  EXPECT_EQ(warm.publish_prefix(warm_in, warm_out), 0) << "no page is published twice";
-  EXPECT_EQ(cold.publish_prefix(cold_in, Matrix(128, d)), 0);
+  EXPECT_EQ(warm.publish_prefix(warm_keys, warm_out), 0) << "no page is published twice";
+  EXPECT_EQ(cold.publish_prefix(cold_keys, Matrix(128, d)), 0);
   EXPECT_EQ(arena->prefix_entries(), 4);
 
   // The index holds the from-scratch chain of warm's prompt, each link
@@ -430,9 +459,9 @@ TEST(PrefixCache, ChainContinuedPastAttachedPagesEqualsTheRehashedChain) {
   std::vector<Index> ids;
   std::vector<float> rows(static_cast<std::size_t>(P * d));
   for (Index pi = 0; pi < 4; ++pi) {
-    chain = prefix_chain_hash(chain, warm_in, pi * P, (pi + 1) * P);
-    const KvPageArena::PageRef ref = arena->prefix_lookup(chain, warm_in.k.row(pi * P).data(),
-                                                          warm_in.v.row(pi * P).data(), rows.data());
+    const auto page_keys = std::span(warm_keys).subspan(static_cast<std::size_t>(pi * P), P);
+    chain = prefix_chain_fold(chain, prefix_page_digest(page_keys));
+    const KvPageArena::PageRef ref = arena->prefix_lookup(chain, page_keys, rows.data());
     ASSERT_GE(ref.id, 0) << "page " << pi;
     arena->release(ref.id);
     ids.push_back(ref.id);
@@ -443,114 +472,110 @@ TEST(PrefixCache, ChainContinuedPastAttachedPagesEqualsTheRehashedChain) {
   // 3. A third request attaches warm's whole, longer chain, bit-identical.
   KVCache third(d, arena);
   Matrix out(s, d);
-  EXPECT_EQ(third.try_attach_prefix(warm_in, s, &out), s);
+  EXPECT_EQ(third.try_attach_prefix(warm_keys, s, &out), s);
   expect_bit_identical(warm_out, out, "third request's attached outputs");
   for (Index j = 0; j < s; ++j) ASSERT_EQ(third.k(j).data(), warm.k(j).data()) << "slot " << j;
 }
 
 TEST(PrefixCache, LookupRejectsHashCollisionWithDifferentPayload) {
-  // A chain-hash hit whose stored K/V bytes do not match the request's
-  // content must be rejected (memcmp verification), not silently attached.
-  const Index d = 8;
-  auto arena = std::make_shared<KvPageArena>(d, /*page_tokens=*/16);
-  const AttentionInput in = random_input(16, 16, d, 0x3c1ull);
+  // A chain-hash hit whose stored row keys differ from the request's must
+  // be rejected (exact key comparison), not silently attached: the keys,
+  // not the 64-bit chain, decide which rows a page holds.
+  const Index d = 8, P = 16;
+  auto arena = std::make_shared<KvPageArena>(d, P);
+  const AttentionInput in = random_input(P, P, d, 0x3c1ull);
+  const std::vector<std::uint64_t> keys = keys_for(P, 0x3c1ull);
   KVCache pub(d, arena);
   ASSERT_TRUE(pub.append_prefill(in).ok());
-  Matrix out(16, d);
+  Matrix out(P, d);
   Rng rng(0x3c2ull);
-  for (Index r = 0; r < 16; ++r)
+  for (Index r = 0; r < P; ++r)
     for (float& x : out.row(r)) x = static_cast<float>(rng.uniform());
-  ASSERT_EQ(pub.publish_prefix(in, out), 1);
+  ASSERT_EQ(pub.publish_prefix(keys, out), 1);
 
-  // Forge the same chain hash but different K payload via direct lookup.
-  const std::uint64_t chain = prefix_chain_hash(kPrefixChainSeed, in, 0, 16);
-  std::vector<float> k_wrong(16 * d, 0.5f), v_ok(16 * d), out_rows(16 * d);
-  for (Index r = 0; r < 16; ++r)
-    std::memcpy(v_ok.data() + static_cast<std::size_t>(r) * d, in.v.row(r).data(),
-                static_cast<std::size_t>(d) * sizeof(float));
-  EXPECT_LT(arena->prefix_lookup(chain, k_wrong.data(), v_ok.data(), out_rows.data()).id, 0);
+  // Forge the same chain hash with one different key via direct lookup.
+  const std::uint64_t chain = prefix_chain_fold(kPrefixChainSeed, prefix_page_digest(keys));
+  std::vector<float> out_rows(static_cast<std::size_t>(P * d));
+  for (const Index r : {Index{0}, P / 2, P - 1}) {
+    std::vector<std::uint64_t> wrong = keys;
+    wrong[static_cast<std::size_t>(r)] ^= 1;
+    EXPECT_LT(arena->prefix_lookup(chain, wrong, out_rows.data()).id, 0) << "row " << r;
+  }
+  // The publisher's own keys still hit, outputs and all.
+  const KvPageArena::PageRef ref = arena->prefix_lookup(chain, keys, out_rows.data());
+  ASSERT_GE(ref.id, 0);
+  arena->release(ref.id);
+  EXPECT_EQ(std::memcmp(out_rows.data(), out.data(), out_rows.size() * sizeof(float)), 0);
 }
 
 // ---------------------------------------------------------------------------
-// Chain hash: per-page digests folded in page order.
+// Chain hash: per-page digests of row keys folded in page order.
 
-// Serial chain of `in`'s full pages, one prefix_chain_hash per page.
-std::vector<std::uint64_t> serial_chain(const AttentionInput& in, Index P) {
+// Serial chain of a prompt's full pages.
+std::vector<std::uint64_t> serial_chain(std::span<const std::uint64_t> keys, Index P) {
   std::vector<std::uint64_t> chain;
   std::uint64_t h = kPrefixChainSeed;
-  for (Index lo = 0; lo + P <= std::min(in.sq(), in.sk()); lo += P) {
-    h = prefix_chain_hash(h, in, lo, lo + P);
+  for (std::size_t lo = 0; lo + static_cast<std::size_t>(P) <= keys.size(); lo += P) {
+    h = prefix_chain_fold(h, prefix_page_digest(keys.subspan(lo, static_cast<std::size_t>(P))));
     chain.push_back(h);
   }
   return chain;
 }
 
 TEST(PrefixChain, OneBitFlipChangesItsPageAndEveryLaterChainOnly) {
-  // A flipped bit in any Q, K or V row of page 2 changes page 2's chain
-  // value and every later one, and leaves pages 0-1 alone. Head dim 3 puts
-  // the flipped bytes in the hash's 8- and 4-byte tail paths for small
-  // pages; head dim 64 keeps them in the 32-byte stripes.
+  // A flipped bit in any row key of page 2 changes page 2's chain value and
+  // every later one, and leaves pages 0-1 alone. Pages of 1 and 2 keys (8
+  // and 16 bytes) go through the hash's tail path; 4, 16 and 64 keys fill
+  // its 32-byte stripes.
   constexpr Index kPages = 5, kTarget = 2;
-  for (const Index d : {Index{3}, Index{64}}) {
-    for (const Index P : {Index{1}, Index{4}, Index{16}}) {
-      const AttentionInput in = random_input(kPages * P, kPages * P, d, 0x5e1ull + d * 131 + P);
-      const std::vector<std::uint64_t> base = serial_chain(in, P);
-      ASSERT_EQ(static_cast<Index>(base.size()), kPages);
-      for (int stream = 0; stream < 3; ++stream) {
-        for (const Index row : {kTarget * P, kTarget * P + P / 2, kTarget * P + P - 1}) {
-          for (const Index col : {Index{0}, d - 1}) {
-            for (const int bit : {0, 31}) {
-              AttentionInput flipped = in;
-              Matrix& m = stream == 0 ? flipped.q : stream == 1 ? flipped.k : flipped.v;
-              std::uint32_t word;
-              std::memcpy(&word, &m(row, col), sizeof word);
-              word ^= std::uint32_t{1} << bit;
-              std::memcpy(&m(row, col), &word, sizeof word);
-              const std::vector<std::uint64_t> got = serial_chain(flipped, P);
-              const auto where = ::testing::Message() << "d " << d << " P " << P << " stream "
-                                                      << stream << " row " << row << " col "
-                                                      << col << " bit " << bit;
-              for (Index p = 0; p < kPages; ++p) {
-                if (p < kTarget) {
-                  EXPECT_EQ(got[p], base[p]) << where << " page " << p;
-                } else {
-                  EXPECT_NE(got[p], base[p]) << where << " page " << p;
-                }
-                // A digest reads only its own page.
-                EXPECT_EQ(prefix_page_digest(flipped, p * P, (p + 1) * P) ==
-                              prefix_page_digest(in, p * P, (p + 1) * P),
-                          p != kTarget)
-                    << where << " page " << p;
-              }
-            }
+  for (const Index P : {Index{1}, Index{2}, Index{4}, Index{16}, Index{64}}) {
+    const std::vector<std::uint64_t> keys = keys_for(kPages * P, 0x5e1ull + P);
+    const std::vector<std::uint64_t> base = serial_chain(keys, P);
+    ASSERT_EQ(static_cast<Index>(base.size()), kPages);
+    for (const Index row : {kTarget * P, kTarget * P + P / 2, kTarget * P + P - 1}) {
+      for (const int bit : {0, 31, 63}) {
+        std::vector<std::uint64_t> flipped = keys;
+        flipped[static_cast<std::size_t>(row)] ^= std::uint64_t{1} << bit;
+        const std::vector<std::uint64_t> got = serial_chain(flipped, P);
+        const auto where = ::testing::Message() << "P " << P << " row " << row << " bit " << bit;
+        for (Index p = 0; p < kPages; ++p) {
+          if (p < kTarget) {
+            EXPECT_EQ(got[p], base[p]) << where << " page " << p;
+          } else {
+            EXPECT_NE(got[p], base[p]) << where << " page " << p;
           }
+          // A digest reads only its own page.
+          const auto page = [&](const std::vector<std::uint64_t>& k) {
+            return prefix_page_digest(std::span(k).subspan(static_cast<std::size_t>(p * P), P));
+          };
+          EXPECT_EQ(page(flipped) == page(keys), p != kTarget) << where << " page " << p;
         }
       }
     }
   }
 }
 
-TEST(PrefixChain, PageChainOnThePoolEqualsTheSerialFold) {
-  // KVCache::page_chain digests all full pages of its prompt on the global
-  // pool, then folds them; every link must equal the page-by-page serial
-  // chain, including prompts that end in a partial page (not hashed).
-  const Index d = 16, P = 64;
+TEST(PrefixChain, AttachAndPublishWalkTheSerialFold) {
+  // The index is keyed by the serial fold: a publish stores every full page
+  // under it and a lookup by it finds each page, including prompts that end
+  // in a partial page (never published).
+  const Index d = 4, P = 64;
   for (const Index s : {Index{64}, Index{65}, Index{1000}, Index{4096 + 17}}) {
-    const AttentionInput in = random_input(s, s, d, 0x6a1ull + s);
-    const std::vector<std::uint64_t> serial = serial_chain(in, P);
+    const std::vector<std::uint64_t> keys = keys_for(s, 0x6a1ull + s);
+    const std::vector<std::uint64_t> serial = serial_chain(keys, P);
     ASSERT_EQ(static_cast<Index>(serial.size()), s / P);
-    std::uint64_t h = kPrefixChainSeed;
+    auto arena = std::make_shared<KvPageArena>(d, P);
+    KVCache pub(d, arena);
+    ASSERT_TRUE(pub.extend(s).ok());
+    EXPECT_EQ(pub.publish_prefix(keys, Matrix(s, d)), s / P) << "s " << s;
     for (Index p = 0; p < s / P; ++p) {
-      h = prefix_chain_fold(h, prefix_page_digest(in, p * P, (p + 1) * P));
-      ASSERT_EQ(h, serial[p]) << "s " << s << " page " << p;
+      const auto page_keys = std::span(keys).subspan(static_cast<std::size_t>(p * P), P);
+      const KvPageArena::PageRef ref = arena->prefix_lookup(serial[p], page_keys, nullptr);
+      ASSERT_GE(ref.id, 0) << "s " << s << " page " << p;
+      arena->release(ref.id);
     }
-    KVCache cache(d, std::make_shared<KvPageArena>(d, P));
-    // Ask for the last page first: the first call hashes the whole prompt.
-    EXPECT_EQ(cache.page_chain(in, s / P - 1), serial.back())
-        << "s " << s << " on a pool of " << ThreadPool::global().size();
-    for (Index p = 0; p < s / P; ++p) {
-      ASSERT_EQ(cache.page_chain(in, p), serial[p]) << "s " << s << " page " << p;
-    }
+    KVCache warm(d, arena);
+    EXPECT_EQ(warm.try_attach_prefix(keys, s, nullptr), s / P * P) << "s " << s;
   }
 }
 
@@ -579,22 +604,20 @@ TEST(PrefixCacheFuzz, RandomPageSizesAndPrefixSplitsAttachBitIdentical) {
                                             << " split " << split << " B " << len_b
                                             << " chunk " << chunk;
     const AttentionInput a = random_input(len_a, len_a, d, 0xa000ull + c);
+    const std::vector<std::uint64_t> a_keys = keys_for(len_a, 0xa000ull + c);
     AttentionInput b = random_input(len_b, len_b, d, 0xb000ull + c);
-    for (Index r = 0; r < std::min(split, len_b); ++r) {
-      std::copy(a.q.row(r).begin(), a.q.row(r).end(), b.q.row(r).begin());
-      std::copy(a.k.row(r).begin(), a.k.row(r).end(), b.k.row(r).begin());
-      std::copy(a.v.row(r).begin(), a.v.row(r).end(), b.v.row(r).begin());
-    }
+    std::vector<std::uint64_t> b_keys = keys_for(len_b, 0xb000ull + c);
+    share_rows(a, a_keys, std::min(split, len_b), b, b_keys);
     auto arena = std::make_shared<KvPageArena>(d, P);
     {
       KVCache cold(d, arena);
-      const auto ares = chunked_flash_prefill(a, chunk, &cold);
+      const auto ares = chunked_flash_prefill(a, chunk, &cold, a_keys);
       ASSERT_TRUE(ares.ok()) << where;
       EXPECT_EQ(ares->prefix_hit_tokens, 0) << where;
       EXPECT_EQ(arena->prefix_entries(), len_a / P) << where;
 
       KVCache warm(d, arena);
-      const auto bres = chunked_flash_prefill(b, chunk, &warm);
+      const auto bres = chunked_flash_prefill(b, chunk, &warm, b_keys);
       ASSERT_TRUE(bres.ok()) << where;
       const Index hit = std::min(split, len_b) / P * P;
       ASSERT_EQ(bres->prefix_hit_tokens, hit) << where;

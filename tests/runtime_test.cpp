@@ -287,9 +287,11 @@ TEST(ChunkedPrefill, InPlaceChunksBitIdenticalToMaterializedChunks) {
   }
   for (const SampleAttentionConfig* variant : {static_cast<const SampleAttentionConfig*>(nullptr),
                                                &cfg}) {
+    std::vector<std::uint64_t> keys(static_cast<std::size_t>(in.sq()));
+    for (std::size_t r = 0; r < keys.size(); ++r) keys[r] = 0x6b6579ull + r;
     const auto run = [&](KVCache& cache) {
-      return variant == nullptr ? chunked_flash_prefill(in, 50, &cache).value()
-                                : chunked_sample_prefill(in, 50, *variant, &cache).value();
+      return variant == nullptr ? chunked_flash_prefill(in, 50, &cache, keys).value()
+                                : chunked_sample_prefill(in, 50, *variant, &cache, keys).value();
     };
     auto arena = std::make_shared<KvPageArena>(d, 64);
     KVCache cold_cache(d, arena), warm_cache(d, arena);

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/rng.h"
 #include "io/json.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
@@ -751,6 +752,80 @@ TEST(TelemetryOverheadTest, EnabledVsDisabledEngineRunUnderTwoPercent) {
   EXPECT_TRUE(pass) << "telemetry-enabled " << best_on << "s vs disabled " << best_off
                     << "s exceeds the 2% + " << kAbsEpsilonSeconds << "s bound";
   std::remove("telemetry_overhead_test.ndjson");
+}
+
+// ---------------------------------------------------------------------------
+// JSON parser under adversarial input
+// ---------------------------------------------------------------------------
+
+TEST(JsonFuzz, SeededMutationsOfATelemetryLineNeverCrash) {
+  // 20k seeded mutations of a real publisher NDJSON line: byte flips,
+  // truncations, dropped or duplicated brackets and quotes, long digit
+  // runs, and numbers replaced by 1e999 / -1e999. parse_json must return a
+  // value or a kInvalidArgument error for each, never crash (the sanitizer
+  // builds run this too).
+  obs::TelemetryHub hub;
+  hub.push(make_event(TelemetryEventKind::kSubmit, 0.1, 0.0f, 0, "a"));
+  hub.push(make_event(TelemetryEventKind::kPrefillDone, 0.3, 0.25f, 0, "a"));
+  hub.push(make_event(TelemetryEventKind::kComplete, 0.5, 0.002f, 4, "a"));
+  hub.push(make_event(TelemetryEventKind::kPlan, 0.25, 0.4f, 1u, "a"));
+  obs::TelemetryPublisher pub(obs::TelemetryOptions{}, "fuzz", &hub,
+                              [] { return snapshot_at(0.6); });
+  pub.tick();
+  const std::string line = pub.last_line();
+  ASSERT_TRUE(parse_json(line).ok());
+
+  Rng rng(0xf022ull);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_index(static_cast<Index>(n)));
+  };
+  const std::string structural = "{}[]\"";
+  int parsed = 0, rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::string text = line;
+    const int edits = 1 + static_cast<int>(rng.uniform_index(3));
+    for (int e = 0; e < edits && !text.empty(); ++e) {
+      const std::size_t at = pick(text.size());
+      switch (rng.uniform_index(6)) {
+        case 0:  // byte flip
+          text[at] = static_cast<char>(text[at] ^ (1 << rng.uniform_index(8)));
+          break;
+        case 1:  // truncation
+          text.resize(at);
+          break;
+        case 2:  // drop or duplicate a bracket or quote
+        case 3: {
+          const std::size_t pos = text.find_first_of(structural, at);
+          if (pos == std::string::npos) break;
+          if (rng.uniform_index(2) == 0) {
+            text.erase(pos, 1);
+          } else {
+            text.insert(pos, 1, text[pos]);
+          }
+          break;
+        }
+        case 4:  // long digit run
+          text.insert(at, std::string(1 + pick(4096), static_cast<char>('0' + pick(10))));
+          break;
+        default: {  // a number replaced by an overflowing one
+          const std::size_t pos = text.find_first_of("0123456789", at);
+          if (pos == std::string::npos) break;
+          const std::size_t len = text.find_first_not_of("0123456789.eE+-", pos) - pos;
+          text.replace(pos, len, rng.uniform_index(2) == 0 ? "1e999" : "-1e999");
+          break;
+        }
+      }
+    }
+    const StatusOr<JsonValue> got = parse_json(text);
+    if (got.ok()) {
+      ++parsed;
+    } else {
+      ++rejected;
+      ASSERT_EQ(got.status().code(), StatusCode::kInvalidArgument) << "mutation " << i;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 // google-benchmark microbenchmarks of the attention kernels and the
 // SampleAttention pipeline stages, plus the run-compression kernel ablation
 // called out in DESIGN.md (contiguous stripe runs vs scattered columns at
-// equal density).
+// equal density), and this host's FMA ceiling that the attention kernels
+// are rated against (fma_frac).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -25,12 +28,123 @@
 #include "runtime/kv_cache.h"
 #include "sample_attention/sample_attention.h"
 
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#include <immintrin.h>
+#define SATTN_BENCH_FMA 1
+#endif
+
 namespace sattn {
 namespace {
 
 AttentionInput bench_input(Index s) {
   static const ModelConfig model = chatglm2_6b();
   return generate_attention(model, plain_prompt(7, s), 8, 3);
+}
+
+// ---------------------------------------------------------------------------
+// FMA ceiling (docs/PERFORMANCE.md "Kernels against the FMA ceiling"). Under
+// the numeric contract a score pair costs d/4 four-wide double FMAs (QK)
+// and d/8 eight-wide float FMAs (PV): d/4 + d/8 ymm FMA instructions. The
+// ceiling issues independent 4-wide double FMA chains — enough of them to
+// cover the FMA latency on both ports — and rates ymm FMAs per wall second,
+// on the calling thread and on every pool worker at once. The attention
+// benches report fma_frac: pairs/s x (d/4 + d/8) over the pool ceiling,
+// since their kernels run on the pool. Gated on the CPUID check; without
+// AVX2/FMA the ceiling benches skip and fma_frac is not reported.
+
+constexpr int kFmaChains = 12;
+constexpr std::int64_t kFmaBurst = 1 << 20;  // chain steps per burst
+
+#if defined(SATTN_BENCH_FMA)
+// kFmaBurst x kFmaChains ymm FMAs. Each chain is x <- x * decay + b with
+// 0 < decay < 1, so it settles near b / (1 - decay): no overflow, no
+// denormals.
+__attribute__((target("avx2,fma"))) double fma_burst(double decay) {
+  const __m256d a = _mm256_set1_pd(decay);
+  const __m256d b = _mm256_set1_pd(1e-6);
+  __m256d x[kFmaChains];
+  for (int c = 0; c < kFmaChains; ++c) x[c] = _mm256_set1_pd(static_cast<double>(c));
+  for (std::int64_t i = 0; i < kFmaBurst; ++i) {
+    for (int c = 0; c < kFmaChains; ++c) x[c] = _mm256_fmadd_pd(x[c], a, b);
+  }
+  __m256d sum = x[0];
+  for (int c = 1; c < kFmaChains; ++c) sum = _mm256_add_pd(sum, x[c]);
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, sum);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+#else
+double fma_burst(double) { return 0.0; }
+#endif
+
+bool fma_available() {
+#if defined(SATTN_BENCH_FMA)
+  return simd::detected_level() == simd::Level::kAvx2;
+#else
+  return false;
+#endif
+}
+
+// One burst on the calling thread (pool = false) or on every pool worker at
+// once; returns the FMAs issued.
+double run_fma_bursts(bool pool) {
+  const Index n = pool ? std::max<Index>(1, ThreadPool::global().size()) : 1;
+  std::vector<double> sink(static_cast<std::size_t>(n));
+  // Read through a volatile, so the compiler cannot fold the chains away.
+  // benchmark::DoNotOptimize on this double handed back a clobbered,
+  // denormal value, which made every FMA a microcode assist.
+  static volatile double decay_source = 0.999999;
+  const double decay = decay_source;
+  if (pool) {
+    parallel_for(n, [&](Index i) { sink[static_cast<std::size_t>(i)] = fma_burst(decay); });
+  } else {
+    sink[0] = fma_burst(decay);
+  }
+  benchmark::DoNotOptimize(sink.data());
+  return static_cast<double>(n) * static_cast<double>(kFmaBurst) * kFmaChains;
+}
+
+double wall_seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+// The pool's ymm FMAs per wall second: best of ten bursts, measured once
+// per process; 0 without AVX2/FMA.
+double pool_fma_ceiling() {
+  static const double ceiling = [] {
+    double best = 0.0;
+    for (int t = 0; fma_available() && t < 10; ++t) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const double fmas = run_fma_bursts(true);
+      best = std::max(best, fmas / wall_seconds_since(t0));
+    }
+    return best;
+  }();
+  return ceiling;
+}
+
+void BM_FmaCeiling(benchmark::State& state, bool pool) {
+  if (!fma_available()) {
+    state.SkipWithError("no AVX2/FMA on this CPU");
+    return;
+  }
+  double fmas = 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) fmas += run_fma_bursts(pool);
+  const double rate = fmas / wall_seconds_since(t0);
+  state.counters["gfma_s"] = rate / 1e9;
+  state.counters["gflop_s"] = rate * 8.0 / 1e9;  // 4 lanes x (mul + add)
+}
+BENCHMARK_CAPTURE(BM_FmaCeiling, thread, false)->UseRealTime();
+BENCHMARK_CAPTURE(BM_FmaCeiling, pool, true)->UseRealTime();
+
+// fma_frac of `pairs` score pairs at head dim d done in `seconds` of wall
+// time, against the pool ceiling.
+void report_fma_frac(benchmark::State& state, double pairs, Index d, double seconds) {
+  const double ceiling = pool_fma_ceiling();
+  if (ceiling <= 0.0 || seconds <= 0.0) return;
+  const double fmas_per_pair = static_cast<double>(d) / 4.0 + static_cast<double>(d) / 8.0;
+  state.counters["fma_frac"] = pairs * fmas_per_pair / seconds / ceiling;
 }
 
 void BM_FullAttention(benchmark::State& state) {
@@ -46,12 +160,17 @@ BENCHMARK(BM_FullAttention)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
 void BM_FlashAttention(benchmark::State& state) {
   const AttentionInput in = bench_input(state.range(0));
+  pool_fma_ceiling();  // measured before the timed loop
   Matrix out;
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     flash_attention(in, out);
     benchmark::DoNotOptimize(out.data());
   }
+  const double seconds = wall_seconds_since(t0);
   state.SetItemsProcessed(state.iterations() * in.sq() * in.sk() / 2);
+  report_fma_frac(state, static_cast<double>(state.iterations()) * causal_pairs(in.sq(), in.sk()),
+                  in.head_dim(), seconds);
 }
 BENCHMARK(BM_FlashAttention)->Arg(512)->Arg(1024)->Arg(2048)->UseRealTime();
 
@@ -82,12 +201,17 @@ void BM_SparseKernelDensity(benchmark::State& state) {
   const AttentionInput in = bench_input(s);
   StructuredMask mask(s, s);
   mask.set_window(std::max<Index>(1, s * state.range(0) / 1000));
+  pool_fma_ceiling();  // measured before the timed loop
   Matrix out;
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     sparse_flash_attention(in, mask, out);
     benchmark::DoNotOptimize(out.data());
   }
+  const double seconds = wall_seconds_since(t0);
   state.counters["density"] = mask.density();
+  report_fma_frac(state, static_cast<double>(state.iterations()) * sparse_flash_work(mask),
+                  in.head_dim(), seconds);
 }
 BENCHMARK(BM_SparseKernelDensity)
     ->Arg(50)->Arg(125)->Arg(250)->Arg(500)->Arg(1000)->UseRealTime();

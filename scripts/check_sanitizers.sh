@@ -9,9 +9,12 @@
 #  1b. The kernel-heavy suites again under ASan+UBSan, once per SIMD
 #      backend: simd_kernel_test, attention_test, sparse_kernel_test,
 #      block_sparse_test, sampling_test (Stage-1 reads K through
-#      mk::KvView), runtime_test's ChunkedPrefill suite (chunks run in
-#      place), engine_test's RaggedBatch parity (whole sweeps and lone
-#      sequences split into row blocks), SegmentedFill parity (prompt rows
+#      mk::KvView), core_test (matmul_nt scores through dotn on widened
+#      rows), baselines_test (the LSH projections do too), runtime_test's
+#      ChunkedPrefill and Decode suites (chunks run in place; decode scores
+#      each key through dotn on its widened query row), engine_test's
+#      RaggedBatch parity (whole sweeps and lone sequences split into row
+#      blocks), SegmentedFill parity (prompt rows
 #      synthesized in pool blocks into cache pages) and EnginePrefix.*
 #      (published pages read back by row keys equal flash over the filled
 #      prompt; where synthesis happens), chaos_engine_test, kv_page_test (incl.
@@ -68,9 +71,17 @@ for mode in 1 0; do
   # Stage-1 reads K through mk::KvView: planning a chunk in place (flat or
   # paged) must equal planning the materialized chunk on both backends.
   SATTN_FORCE_SCALAR="$mode" "$build/tests/sampling_test"
+  # matmul_nt and the HashSparse / HyperAttention projections widen their
+  # rows once and score through dotn: every entry equals the row dot
+  # (MatmulNT.EqualsRowDotsBitExact), tails included, on both backends.
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/core_test"
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/baselines_test"
   # Chunked prefill runs each chunk in place (flash and SampleAttention over
   # mk::KvView::of(in)): bit-identical to materialized chunks on both backends.
-  SATTN_FORCE_SCALAR="$mode" "$build/tests/runtime_test" --gtest_filter='ChunkedPrefill.*'
+  # Decode scores every key through a single-row dotn on the query row
+  # widened once per step (Decode.WeightsAreSoftmaxOfScaledRowDotsBitExact).
+  SATTN_FORCE_SCALAR="$mode" "$build/tests/runtime_test" \
+    --gtest_filter='ChunkedPrefill.*:Decode.*'
   # Ragged-batch parity must hold bit-exactly on both backends, including
   # RaggedBatch.LoneSequenceSplitIntoRowBlocksMatchesItsKernelBitExact: a
   # lone sequence's row blocks run on several workers at once.

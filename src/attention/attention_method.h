@@ -20,9 +20,10 @@ inline Index causal_limit(Index i, Index sq, Index sk) { return i + (sk - sq); }
 
 // Number of (i, j) pairs in the causal region — the denominator for density.
 inline double causal_pairs(Index sq, Index sk) {
-  // sum_i (causal_limit + 1) = sum_i (i + sk - sq + 1)
-  const double off = static_cast<double>(sk - sq + 1);
-  return static_cast<double>(sq) * off + 0.5 * static_cast<double>(sq) * static_cast<double>(sq - 1);
+  // sum_i max(0, causal_limit + 1): the last n = min(sq, sk) rows see
+  // sk, sk - 1, ..., sk - n + 1 keys; any earlier row (sq > sk) sees none.
+  const auto n = static_cast<double>(sq < sk ? sq : sk);
+  return n * static_cast<double>(sk) - 0.5 * n * (n - 1.0);
 }
 
 struct AttentionResult {

@@ -110,6 +110,9 @@ void block_sparse_attention(const float* q, Index sq, const mk::KvView& kv, Inde
     std::vector<OnlineSoftmaxRow> state;
     state.reserve(static_cast<std::size_t>(rows));
     for (Index r = 0; r < rows; ++r) state.emplace_back(d);
+    std::vector<double> qd(static_cast<std::size_t>(rows) * static_cast<std::size_t>(d));
+    simd::widen(q + static_cast<std::size_t>(q_lo) * static_cast<std::size_t>(d), rows * d,
+                qd.data());
     std::vector<float> logits;
     double tile_evals = 0.0;
 
@@ -129,7 +132,7 @@ void block_sparse_attention(const float* q, Index sq, const mk::KvView& kv, Inde
           const Index hi = std::min(k_hi, lim + 1);
           if (hi <= k_lo) continue;
           OnlineSoftmaxRow& st = state[static_cast<std::size_t>(r)];
-          b.q[b.rows] = q + static_cast<std::size_t>(i) * static_cast<std::size_t>(d);
+          b.q[b.rows] = qd.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
           b.m[b.rows] = &st.m;
           b.l[b.rows] = &st.l;
           b.acc[b.rows] = st.acc.data();

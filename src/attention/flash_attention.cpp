@@ -18,9 +18,13 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   double evals = 0.0;
   std::vector<float> logits;
+  std::vector<double> qd;  // the tile's query rows, widened once per tile
   for (Index t_lo = 0; t_lo < rows; t_lo += cfg.tile_q) {
     const Index t_hi = std::min(rows, t_lo + cfg.tile_q);
     const Index t_rows = t_hi - t_lo;
+    qd.resize(static_cast<std::size_t>(t_rows) * static_cast<std::size_t>(d));
+    simd::widen(q + static_cast<std::size_t>(t_lo) * static_cast<std::size_t>(d), t_rows * d,
+                qd.data());
 
     // Per-tile state: running max / normalizer / accumulator per query row.
     std::vector<float> m(static_cast<std::size_t>(t_rows),
@@ -44,7 +48,7 @@ double flash_rows(const float* q, Index rows, const mk::KvView& kv, Index k_hi, 
           if (k_lo >= vis) continue;  // entire tile masked for this row
           const Index jn = std::min(kt_hi, vis);
           const auto rr = static_cast<std::size_t>(r - t_lo);
-          b.q[b.rows] = q + static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
+          b.q[b.rows] = qd.data() + rr * static_cast<std::size_t>(d);
           b.m[b.rows] = &m[rr];
           b.l[b.rows] = &l[rr];
           b.acc[b.rows] = acc.row(r - t_lo).data();

@@ -11,7 +11,7 @@ namespace {
 // Single-row run absorb over raw state: two passes (score + max, then
 // weight + accumulate) with one rescale for the whole run. The tiled and
 // sparse kernels both bottom out here for ragged work.
-void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, float* acc,
+void absorb_run_row(const simd::Ops& ops, const double* qi, float& m, double& l, float* acc,
                     Index d, const mk::KvView& kv, float scale, Index lo, Index hi,
                     std::vector<float>& logits) {
   if (hi <= lo) return;
@@ -22,7 +22,9 @@ void absorb_run_row(const simd::Ops& ops, const float* qi, float& m, double& l, 
     const Index re = kv.run_end(j, hi);
     const float* krow = kv.k_row(j);
     for (; j < re; ++j, krow += d) {
-      const float s = scale * ops.dot(qi, krow, d);
+      float qk;
+      ops.dotn(&qi, 1, krow, d, &qk);
+      const float s = scale * qk;
       logits[static_cast<std::size_t>(j - lo)] = s;
       run_max = std::max(run_max, s);
     }
@@ -187,20 +189,27 @@ void logits_rows(const float* q, Index sq, const KvView& kv, Index sk, const Ind
     ord[t] = o;
   }
 
+  // Each row widened to double once for the whole call, in `ord` order, so
+  // the active rows of every group below are a suffix of qd.
+  std::vector<double> qd(static_cast<std::size_t>(rows) * static_cast<std::size_t>(d));
+  const double* qp[kQRows];
+  for (Index t = 0; t < rows; ++t) {
+    double* row = qd.data() + static_cast<std::size_t>(t) * static_cast<std::size_t>(d);
+    simd::widen(q + static_cast<std::size_t>(q_rows[ord[t]]) * static_cast<std::size_t>(d), d,
+                row);
+    qp[t] = row;
+  }
+
   Index j = 0;
   for (Index g = 0; g < rows; ++g) {
     const Index lim = causal_limit(q_rows[ord[g]], sq, sk);
     const Index nact = rows - g;
-    const float* qp[kQRows];
-    for (Index t = 0; t < nact; ++t) {
-      qp[t] = q + static_cast<std::size_t>(q_rows[ord[g + t]]) * static_cast<std::size_t>(d);
-    }
     float s[kQRows];
     while (j <= lim) {
       const Index re = kv.run_end(j, lim + 1);
       const float* krow = kv.k_row(j);
       for (; j < re; ++j, krow += d) {
-        ops.dotn(qp, nact, krow, d, s);
+        ops.dotn(qp + g, nact, krow, d, s);
         for (Index t = 0; t < nact; ++t) {
           out[ord[g + t]][j] = scale * s[t];
         }

@@ -17,9 +17,12 @@
 //     (src/runtime/batch.h) without materializing per-call tensors.
 //   * mk::QBlock / mk::absorb_key_runs — the register-blocked core: up to
 //     mk::kQRows query rows advance through a set of key runs together, so
-//     each K row is scored with one simd::dotn (K lanes loaded once for
-//     all rows) and each V row accumulated with one simd::axpyn, with one
-//     rescale per row for the whole set.
+//     each K row is scored with one simd::dotn (K lanes loaded and widened
+//     once for all rows) and each V row accumulated with one simd::axpyn,
+//     with one rescale per row for the whole set. A block's query rows are
+//     widened to double once, where the block is built (flash: per q-tile;
+//     the sparse kernel: per 32-row tile; block_sparse: per q-block), never
+//     per key.
 //   * mk::absorb_key_run — single-row run absorb into one row of a block,
 //     for the keys only that row keeps (ragged causal tails, mask edges).
 //   * mk::absorb_key_tile — one dense key tile for rows with ragged causal
@@ -27,8 +30,8 @@
 //     fall back to the single-row path, so masked (never-visited) K/V
 //     entries are never read.
 //   * mk::logits_rows — the blocked score path used by for_each_score_row
-//     (Stage-1 sampling, the quality audit): up to kQRows sampled rows share
-//     one pass over K.
+//     (Stage-1 sampling, the quality audit) and full_attention: up to kQRows
+//     sampled rows, widened once per call, share one pass over K.
 //
 // All paths call simd::ops() — AVX2/FMA where the CPU supports it, the
 // portable scalar table under SATTN_FORCE_SCALAR=1 or simd::ScopedForceScalar.
@@ -128,11 +131,13 @@ inline constexpr Index kQRows = simd::kMaxRows;
 // A view over up to kQRows query rows' online-softmax state. The pointers
 // alias caller-owned storage (flash_attention's per-tile m/l/acc arrays, or
 // individual OnlineSoftmaxRow structs in block_sparse), so the blocked core
-// composes with either layout without copying state.
+// composes with either layout without copying state. The query rows are the
+// float rows widened to double (simd::widen) by the block's builder, once
+// per tile, so scoring a key converts only the key (simd::Ops::dotn).
 struct QBlock {
   Index rows = 0;  // active rows, 1..kQRows
   Index d = 0;     // head dim
-  const float* q[kQRows] = {};  // query rows
+  const double* q[kQRows] = {};  // widened query rows, length d
   float* m[kQRows] = {};        // running max per row
   double* l[kQRows] = {};       // running normalizer per row
   float* acc[kQRows] = {};      // unnormalized accumulator rows, length d
@@ -171,10 +176,11 @@ void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,
 // Blocked score path: fills out[r][0..sk) with the causal logits row of
 // query row q_rows[r] of q (sq contiguous rows of kv.d floats) against keys
 // [0, sk) of kv — same semantics as logits_row in full_attention.h: the
-// causal prefix holds scale * q·k, the masked tail is -inf. Each K row is
-// shared across all block rows whose causal limit reaches it, and K is
-// walked one contiguous run at a time (KvView::run_end). Rows need not be
-// sorted; each out[r] must hold at least sk floats. rows is 1..kQRows.
+// causal prefix holds scale * q·k, the masked tail is -inf. The rows are
+// widened to double once per call; each K row is then shared across all
+// block rows whose causal limit reaches it, and K is walked one contiguous
+// run at a time (KvView::run_end). Rows need not be sorted; each out[r]
+// must hold at least sk floats. rows is 1..kQRows.
 void logits_rows(const float* q, Index sq, const KvView& kv, Index sk, const Index* q_rows,
                  Index rows, float* const* out);
 

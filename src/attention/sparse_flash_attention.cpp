@@ -71,6 +71,7 @@ struct Group {
 // Per-tile scratch and online-softmax state. Run lists live in flat
 // vectors, so a tile allocates a fixed handful of buffers.
 struct TileScratch {
+  std::vector<double> q;  // the tile's query rows, widened once
   std::vector<float> m;
   std::vector<double> l;
   Matrix acc;
@@ -139,6 +140,9 @@ SparseTileWork sparse_flash_tiles(const float* q, Index sq, const mk::KvView& kv
     sc.l.assign(static_cast<std::size_t>(nt), 0.0);
     sc.acc.resize(nt, d);
     sc.groups.resize(static_cast<std::size_t>(n_groups));
+    sc.q.resize(static_cast<std::size_t>(nt) * static_cast<std::size_t>(d));
+    simd::widen(q + static_cast<std::size_t>(t0) * static_cast<std::size_t>(d), nt * d,
+                sc.q.data());
 
     // 1. Each row's kept runs, built once. The rows of a group that keep
     //    any key form its block; the keys all of them keep are its common
@@ -154,7 +158,7 @@ SparseTileWork sparse_flash_tiles(const float* q, Index sq, const mk::KvView& kv
         if (runs.empty()) continue;
         for (const ColumnRun& run : runs) work.evals += static_cast<double>(run.width());
         const auto rr = static_cast<std::size_t>(r);
-        b.q[b.rows] = q + static_cast<std::size_t>(t0 + r) * static_cast<std::size_t>(d);
+        b.q[b.rows] = sc.q.data() + rr * static_cast<std::size_t>(d);
         b.m[b.rows] = &sc.m[rr];
         b.l[b.rows] = &sc.l[rr];
         b.acc[b.rows] = sc.acc.row(r).data();

@@ -43,13 +43,15 @@ std::vector<float> dominant_direction(const Matrix& k, Rng& rng) {
 // Spherical-LSH bucket per row after removing the dominant-key component:
 // argmax_j <row - (row.u)u, dir_j> over num_buckets random directions
 // (shared between Q and K). The projection loop is register-blocked: four
-// direction rows at a time share one pass over the residual row
-// (simd::dotn with the row as the common stream).
+// direction rows at a time, widened to double once per call, share one pass
+// over the residual row (simd::dotn with the row as the common stream).
 std::vector<Index> bucket_assignment(const Matrix& m, const Matrix& directions,
                                      std::span<const float> remove_dir) {
   std::vector<Index> out(static_cast<std::size_t>(m.rows()));
   std::vector<float> row(static_cast<std::size_t>(m.cols()));
   const Index d = m.cols(), nb = directions.rows();
+  std::vector<double> wide(directions.flat().size());
+  simd::widen(directions.data(), static_cast<Index>(wide.size()), wide.data());
   const simd::Ops& ops = simd::ops();
   for (Index r = 0; r < m.rows(); ++r) {
     auto src = m.row(r);
@@ -59,8 +61,10 @@ std::vector<Index> bucket_assignment(const Matrix& m, const Matrix& directions,
     float best_v = -std::numeric_limits<float>::infinity();
     for (Index b0 = 0; b0 < nb; b0 += simd::kMaxRows) {
       const Index nr = std::min<Index>(simd::kMaxRows, nb - b0);
-      const float* dirs[simd::kMaxRows];
-      for (Index t = 0; t < nr; ++t) dirs[t] = directions.row(b0 + t).data();
+      const double* dirs[simd::kMaxRows];
+      for (Index t = 0; t < nr; ++t) {
+        dirs[t] = wide.data() + static_cast<std::size_t>(b0 + t) * static_cast<std::size_t>(d);
+      }
       float v[simd::kMaxRows];
       ops.dotn(dirs, nr, row.data(), d, v);
       for (Index t = 0; t < nr; ++t) {

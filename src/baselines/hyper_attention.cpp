@@ -15,20 +15,25 @@ namespace sattn {
 namespace {
 
 // SimHash codes for each row of m under `bits` shared random hyperplanes.
-// Register-blocked: four hyperplanes at a time share one pass over the row
-// (simd::dotn with the row as the common stream).
+// Register-blocked: four hyperplanes at a time, widened to double once per
+// call, share one pass over the row (simd::dotn with the row as the common
+// stream).
 std::vector<std::uint32_t> simhash_codes(const Matrix& m, Index bits, Rng rng) {
   const Index d = m.cols();
   Matrix planes(bits, d);
   rng.fill_normal(planes);
+  std::vector<double> wide(planes.flat().size());
+  simd::widen(planes.data(), static_cast<Index>(wide.size()), wide.data());
   std::vector<std::uint32_t> codes(static_cast<std::size_t>(m.rows()), 0u);
   const simd::Ops& ops = simd::ops();
   for (Index r = 0; r < m.rows(); ++r) {
     std::uint32_t code = 0;
     for (Index b0 = 0; b0 < bits; b0 += simd::kMaxRows) {
       const Index nr = std::min<Index>(simd::kMaxRows, bits - b0);
-      const float* rows[simd::kMaxRows];
-      for (Index t = 0; t < nr; ++t) rows[t] = planes.row(b0 + t).data();
+      const double* rows[simd::kMaxRows];
+      for (Index t = 0; t < nr; ++t) {
+        rows[t] = wide.data() + static_cast<std::size_t>(b0 + t) * static_cast<std::size_t>(d);
+      }
       float s[simd::kMaxRows];
       ops.dotn(rows, nr, m.row(r).data(), d, s);
       for (Index t = 0; t < nr; ++t) {

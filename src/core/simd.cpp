@@ -18,8 +18,14 @@ float dot_scalar(const float* a, const float* b, Index n) {
   return static_cast<float>(acc);
 }
 
-void dotn_scalar(const float* const* q, Index rows, const float* k, Index n, float* out) {
-  for (Index r = 0; r < rows; ++r) out[r] = dot_scalar(q[r], k, n);
+// The same products and order as dot_scalar: q[r][i] holds the widened
+// float, so q[r][i] * k[i] is static_cast<double>(a[i]) * b[i].
+void dotn_scalar(const double* const* q, Index rows, const float* k, Index n, float* out) {
+  for (Index r = 0; r < rows; ++r) {
+    double acc = 0.0;
+    for (Index i = 0; i < n; ++i) acc += q[r][i] * k[i];
+    out[r] = static_cast<float>(acc);
+  }
 }
 
 void axpy_scalar(float a, const float* x, float* y, Index n) {

@@ -2,12 +2,13 @@
 //
 // Every hot inner loop in the library funnels through the small primitive
 // set below: dot products (accumulated in double, matching the numeric
-// contract of core/tensor.cpp), multi-row dots that share one key stream,
-// axpy accumulates, multi-row axpy that shares one value stream, and an
-// in-place rescale. Each primitive has a portable scalar implementation and,
-// on x86 hosts whose compiler and CPU both support it, an AVX2/FMA
-// implementation (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and
-// only ever called after a CPUID check).
+// contract of core/tensor.cpp), a multi-row dot whose rows arrive already
+// widened to double and share one key stream, axpy accumulates, multi-row
+// axpy that shares one value stream, and an in-place rescale. Each
+// primitive has a portable scalar implementation and, on x86 hosts whose
+// compiler and CPU both support it, an AVX2/FMA implementation
+// (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and only ever called
+// after a CPUID check).
 //
 // Dispatch contract:
 //   * detected_level()  — what the CPU supports (CPUID), ignoring overrides.
@@ -44,10 +45,14 @@ struct Ops {
   // out = sum_i a[i] * b[i], accumulated in double.
   float (*dot)(const float* a, const float* b, Index n);
 
-  // out[r] = dot(q[r], k) for r in [0, rows); rows in [1, kMaxRows]. The
-  // shared k stream is loaded once per vector of lanes for all rows — the
-  // register-blocking primitive of the attention micro-kernels.
-  void (*dotn)(const float* const* q, Index rows, const float* k, Index n, float* out);
+  // out[r] = sum_i q[r][i] * k[i] for r in [0, rows); rows in [1, kMaxRows].
+  // The rows are float values already widened to double (widen()), once per
+  // block by the caller, so scoring a key converts only the key: the shared
+  // k stream is loaded and widened once per vector of lanes for all rows —
+  // the register-blocking primitive of the attention micro-kernels. Each
+  // out[r] equals dot() over the row's float values, bit for bit, on the
+  // same backend (same products, same summation order).
+  void (*dotn)(const double* const* q, Index rows, const float* k, Index n, float* out);
 
   // y[i] += a * x[i].
   void (*axpy)(float a, const float* x, float* y, Index n);
@@ -103,9 +108,14 @@ class ScopedForceScalar {
   const Ops* prev_;
 };
 
+// out[i] = x[i] in double: the query-row widening dotn expects.
+inline void widen(const float* x, Index n, double* out) {
+  for (Index i = 0; i < n; ++i) out[i] = static_cast<double>(x[i]);
+}
+
 // Convenience wrappers over the active table.
 inline float dot(const float* a, const float* b, Index n) { return ops().dot(a, b, n); }
-inline void dotn(const float* const* q, Index rows, const float* k, Index n, float* out) {
+inline void dotn(const double* const* q, Index rows, const float* k, Index n, float* out) {
   ops().dotn(q, rows, k, n, out);
 }
 inline void axpy(float a, const float* x, float* y, Index n) { ops().axpy(a, x, y, n); }

@@ -5,7 +5,8 @@
 // dispatched_ops() after a CPUID check, so the binary stays runnable on
 // SSE-only hosts.
 //
-// Numerics: dots convert the float lanes to double and accumulate with
+// Numerics: dots convert the float lanes to double (dotn's query rows arrive
+// widened by the caller, so only its key lanes convert) and accumulate with
 // 4-wide double FMAs (two independent accumulator chains per row), honoring
 // the double-accumulation contract of the scalar backend — the summation
 // *order* differs, so results agree to ~1e-13 relative rather than
@@ -47,10 +48,13 @@ float dot_avx2(const float* a, const float* b, Index n) {
   return static_cast<float>(acc);
 }
 
-// R query rows against one shared key stream: the key lanes are loaded and
-// widened once per 8 elements, then FMA'd into each row's accumulators.
+// R widened query rows against one shared key stream: the key lanes are
+// loaded and widened once per 8 elements, then FMA'd into each row's
+// accumulators. The rows are double already (simd::widen, once per block),
+// so a row costs two plain loads per 8 lanes. Lane order and tail match
+// dot_avx2, so each out[r] equals dot_avx2 over the row's float values.
 template <int R>
-void dotr_avx2(const float* const* q, const float* k, Index n, float* out) {
+void dotr_avx2(const double* const* q, const float* k, Index n, float* out) {
   __m256d acc0[R];
   __m256d acc1[R];
   for (int r = 0; r < R; ++r) {
@@ -63,26 +67,43 @@ void dotr_avx2(const float* const* q, const float* k, Index n, float* out) {
     const __m256d klo = _mm256_cvtps_pd(_mm256_castps256_ps128(kv));
     const __m256d khi = _mm256_cvtps_pd(_mm256_extractf128_ps(kv, 1));
     for (int r = 0; r < R; ++r) {
-      const __m256 qv = _mm256_loadu_ps(q[r] + i);
-      acc0[r] = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(qv)), klo, acc0[r]);
-      acc1[r] = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm256_extractf128_ps(qv, 1)), khi, acc1[r]);
+      acc0[r] = _mm256_fmadd_pd(_mm256_loadu_pd(q[r] + i), klo, acc0[r]);
+      acc1[r] = _mm256_fmadd_pd(_mm256_loadu_pd(q[r] + i + 4), khi, acc1[r]);
     }
   }
-  for (int r = 0; r < R; ++r) {
-    double acc = hsum_pd(_mm256_add_pd(acc0[r], acc1[r]));
-    for (Index t = i; t < n; ++t) acc += static_cast<double>(q[r][t]) * k[t];
-    out[r] = static_cast<float>(acc);
+  if constexpr (R == 4) {
+    // The four hsum_pd reductions at once, in hsum_pd's order: lane pairs
+    // (0, 2) and (1, 3) first, then their two sums. The tail products are
+    // exact in double, so a fused tail step rounds like acc += q * k.
+    __m256d v[4];
+    for (int r = 0; r < 4; ++r) v[r] = _mm256_add_pd(acc0[r], acc1[r]);
+    const __m256d ac = _mm256_add_pd(_mm256_permute2f128_pd(v[0], v[2], 0x20),
+                                     _mm256_permute2f128_pd(v[0], v[2], 0x31));
+    const __m256d bd = _mm256_add_pd(_mm256_permute2f128_pd(v[1], v[3], 0x20),
+                                     _mm256_permute2f128_pd(v[1], v[3], 0x31));
+    __m256d sum = _mm256_hadd_pd(ac, bd);  // rows 0, 1, 2, 3
+    for (Index t = i; t < n; ++t) {
+      sum = _mm256_fmadd_pd(_mm256_setr_pd(q[0][t], q[1][t], q[2][t], q[3][t]),
+                            _mm256_set1_pd(static_cast<double>(k[t])), sum);
+    }
+    _mm_storeu_ps(out, _mm256_cvtpd_ps(sum));
+  } else {
+    for (int r = 0; r < R; ++r) {
+      double acc = hsum_pd(_mm256_add_pd(acc0[r], acc1[r]));
+      for (Index t = i; t < n; ++t) acc += q[r][t] * k[t];
+      out[r] = static_cast<float>(acc);
+    }
   }
 }
 
-void dotn_avx2(const float* const* q, Index rows, const float* k, Index n, float* out) {
+void dotn_avx2(const double* const* q, Index rows, const float* k, Index n, float* out) {
   switch (rows) {
     case 1: dotr_avx2<1>(q, k, n, out); return;
     case 2: dotr_avx2<2>(q, k, n, out); return;
     case 3: dotr_avx2<3>(q, k, n, out); return;
     case 4: dotr_avx2<4>(q, k, n, out); return;
     default:
-      for (Index r = 0; r < rows; ++r) out[r] = dot_avx2(q[r], k, n);
+      for (Index r = 0; r < rows; ++r) dotr_avx2<1>(q + r, k, n, out + r);
       return;
   }
 }

@@ -25,11 +25,17 @@ void matmul_nt(const Matrix& a, const Matrix& b, Matrix& c) {
   assert(c.rows() == a.rows() && c.cols() == b.rows());
   const Index m = a.rows(), n = b.rows(), d = a.cols();
   const simd::Ops& ops = simd::ops();
-  // Register-blocked: groups of rows of A share each row of B.
+  // Register-blocked: groups of rows of A, widened to double once per
+  // group, share each row of B.
+  std::vector<double> wide(static_cast<std::size_t>(simd::kMaxRows) * static_cast<std::size_t>(d));
+  const double* rows[simd::kMaxRows];
+  for (Index r = 0; r < simd::kMaxRows; ++r) {
+    rows[r] = wide.data() + static_cast<std::size_t>(r) * static_cast<std::size_t>(d);
+  }
   for (Index i0 = 0; i0 < m; i0 += simd::kMaxRows) {
     const Index nr = std::min<Index>(simd::kMaxRows, m - i0);
-    const float* rows[simd::kMaxRows];
-    for (Index r = 0; r < nr; ++r) rows[r] = a.row(i0 + r).data();
+    simd::widen(a.data() + static_cast<std::size_t>(i0) * static_cast<std::size_t>(d), nr * d,
+                wide.data());
     float s[simd::kMaxRows];
     for (Index j = 0; j < n; ++j) {
       ops.dotn(rows, nr, b.row(j).data(), d, s);

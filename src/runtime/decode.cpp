@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/numerics.h"
+#include "core/simd.h"
 #include "obs/accounting.h"
 #include "obs/trace.h"
 #include "robust/validate.h"
@@ -28,8 +29,18 @@ Status decode_attention(std::span<const float> q_row, const KVCache& cache,
     return Status::Ok();
   }
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  // The query row is widened to double once per step; each key then costs
+  // one single-row dotn (the same value as dot(q_row, k)).
+  std::vector<double> qd(static_cast<std::size_t>(d));
+  simd::widen(q_row.data(), d, qd.data());
+  const double* qp = qd.data();
+  const simd::Ops& ops = simd::ops();
   std::vector<float> logits(static_cast<std::size_t>(n));
-  for (Index s = 0; s < n; ++s) logits[static_cast<std::size_t>(s)] = scale * dot(q_row, cache.k(s));
+  for (Index s = 0; s < n; ++s) {
+    float qk;
+    ops.dotn(&qp, 1, cache.k(s).data(), d, &qk);
+    logits[static_cast<std::size_t>(s)] = scale * qk;
+  }
   softmax_inplace(logits);
   for (Index s = 0; s < n; ++s) {
     const float p = logits[static_cast<std::size_t>(s)];

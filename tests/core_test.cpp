@@ -80,6 +80,24 @@ TEST(MatmulNT, SmallExample) {
   EXPECT_FLOAT_EQ(c(1, 1), 7.0f);
 }
 
+// matmul_nt widens each 4-row block of A once and scores B's rows with
+// dotn; every entry must equal the row dot exactly, including the last,
+// partial block and head dims with a vector tail.
+TEST(MatmulNT, EqualsRowDotsBitExact) {
+  for (const Index d : {1, 3, 8, 129}) {
+    Matrix a(7, d), b(5, d), c(7, 5);
+    Rng rng(60 + static_cast<std::uint64_t>(d));
+    rng.fill_normal(a);
+    rng.fill_normal(b);
+    matmul_nt(a, b, c);
+    for (Index i = 0; i < 7; ++i) {
+      for (Index j = 0; j < 5; ++j) {
+        EXPECT_EQ(c(i, j), dot(a.row(i), b.row(j))) << "d=" << d << " (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
 TEST(MaxAbsDiff, DetectsLargestDeviation) {
   Matrix a(2, 2, 0.0f), b(2, 2, 0.0f);
   b(1, 0) = 0.25f;

@@ -167,6 +167,9 @@ TEST(MakeStreamingMask, SinksPlusWindow) {
 TEST(CausalPairs, CountsLowerTriangle) {
   EXPECT_DOUBLE_EQ(causal_pairs(3, 3), 6.0);   // 1+2+3
   EXPECT_DOUBLE_EQ(causal_pairs(2, 4), 7.0);   // 3+4
+  // Rows with a negative causal limit see no key and count nothing.
+  EXPECT_DOUBLE_EQ(causal_pairs(5, 3), 6.0);   // 0+0+1+2+3
+  EXPECT_DOUBLE_EQ(causal_pairs(4, 3), 6.0);   // 0+1+2+3
 }
 
 // Density must always lie in [0, 1] for random masks (property sweep).
@@ -192,16 +195,42 @@ TEST_P(MaskDensityProperty, DensityInUnitInterval) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MaskDensityProperty, ::testing::Range(0, 10));
 
 // density() is an integer count over causal_pairs, so it must equal the
-// to_dense() count exactly, whatever the overlap between components.
+// to_dense() count exactly, whatever the overlap between components; and
+// each row's row_runs must cover exactly that row's to_dense() cells. sq
+// ranges up to 2 * sk, so the leading rows of a tall mask have a negative
+// causal limit and keep nothing.
 class RandomMaskDensity : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomMaskDensity, EqualsDenseCountExactly) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
   const Index sk = 1 + rng.uniform_index(200);
-  const Index sq = 1 + rng.uniform_index(sk);
+  const Index sq = 1 + rng.uniform_index(2 * sk);
   const StructuredMask m = test::random_structured_mask(rng, sq, sk);
-  EXPECT_EQ(m.density(), dense_count(m) / causal_pairs(sq, sk))
+  const Matrix dense = m.to_dense();
+  double kept = 0.0;
+  for (float v : dense.flat()) kept += v;
+  EXPECT_EQ(m.density(), kept / causal_pairs(sq, sk))
       << "sq=" << sq << " sk=" << sk << " blocks=" << m.blocks().size();
+  EXPECT_GE(m.density(), 0.0);
+  EXPECT_LE(m.density(), 1.0) << "sq=" << sq << " sk=" << sk;
+  std::vector<ColumnRun> runs;
+  for (Index i = 0; i < sq; ++i) {
+    m.row_runs(i, runs);
+    std::vector<float> row(static_cast<std::size_t>(sk), 0.0f);
+    Index prev_hi = -1;
+    for (const ColumnRun& r : runs) {
+      ASSERT_LE(prev_hi, r.lo) << "row " << i << ": runs unsorted or overlapping";
+      ASSERT_LT(r.lo, r.hi) << "row " << i << ": empty run";
+      ASSERT_GE(r.lo, 0) << "row " << i;
+      ASSERT_LE(r.hi, sk) << "row " << i;
+      for (Index j = r.lo; j < r.hi; ++j) row[static_cast<std::size_t>(j)] = 1.0f;
+      prev_hi = r.hi;
+    }
+    for (Index j = 0; j < sk; ++j) {
+      ASSERT_EQ(row[static_cast<std::size_t>(j)], dense(i, j))
+          << "sq=" << sq << " sk=" << sk << " row " << i << " col " << j;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomMaskDensity, ::testing::Range(0, 24));

@@ -10,6 +10,7 @@
 
 #include "attention/flash_attention.h"
 #include "attention/full_attention.h"
+#include "core/numerics.h"
 #include "core/rng.h"
 #include "model/workload.h"
 #include "runtime/chunked_prefill.h"
@@ -142,6 +143,30 @@ TEST(Decode, WeightsSumToOne) {
   double s = 0.0;
   for (float w : weights) s += w;
   EXPECT_NEAR(s, 1.0, 1e-5);
+}
+
+// decode_attention scores each key with a single-row dotn over the query
+// row widened once per step; its weights must be exactly the softmax of
+// scale * dot(q_row, k) over the cache, at head dims with and without a
+// vector tail.
+TEST(Decode, WeightsAreSoftmaxOfScaledRowDotsBitExact) {
+  for (const Index d : {1, 3, 64, 129}) {
+    const AttentionInput in = random_input(40, d, 30 + static_cast<std::uint64_t>(d));
+    KVCache cache(d);
+    ASSERT_TRUE(cache.append_prefill(in).ok());
+    std::vector<float> out(static_cast<std::size_t>(d)), weights;
+    ASSERT_TRUE(decode_attention(in.q.row(39), cache, out, &weights).ok());
+    const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+    std::vector<float> want(static_cast<std::size_t>(cache.size()));
+    for (Index j = 0; j < cache.size(); ++j) {
+      want[static_cast<std::size_t>(j)] = scale * dot(in.q.row(39), cache.k(j));
+    }
+    softmax_inplace(want);
+    ASSERT_EQ(weights.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(weights[j], want[j]) << "d=" << d << " key " << j;
+    }
+  }
 }
 
 TEST(Decode, EmptyCacheYieldsZeros) {

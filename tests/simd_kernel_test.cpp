@@ -110,24 +110,64 @@ TEST(SimdPrimitives, DotMatchesScalarAcrossSizes) {
   }
 }
 
+// Float rows widened to double, as every dotn caller builds them.
+std::vector<double> widened(const std::vector<float>& x) {
+  std::vector<double> w(x.size());
+  simd::widen(x.data(), static_cast<Index>(x.size()), w.data());
+  return w;
+}
+
 TEST(SimdPrimitives, DotnMatchesPerRowDots) {
   const simd::Ops& s = simd::scalar_ops();
   const simd::Ops& v = simd::dispatched_ops();
   for (Index n : kSizes) {
     std::vector<std::vector<float>> qs;
-    const float* qp[simd::kMaxRows];
+    std::vector<std::vector<double>> wide;
+    const double* qp[simd::kMaxRows];
     for (Index r = 0; r < simd::kMaxRows; ++r) {
       qs.push_back(random_vec(n, 300 + static_cast<std::uint64_t>(10 * n + r)));
-      qp[r] = qs.back().data();
+      wide.push_back(widened(qs.back()));
     }
+    for (Index r = 0; r < simd::kMaxRows; ++r) qp[r] = wide[static_cast<std::size_t>(r)].data();
     const auto k = random_vec(n, 400 + static_cast<std::uint64_t>(n));
     for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
       float got[simd::kMaxRows];
       v.dotn(qp, rows, k.data(), n, got);
       for (Index r = 0; r < rows; ++r) {
-        const float want = s.dot(qp[r], k.data(), n);
+        const float want = s.dot(qs[static_cast<std::size_t>(r)].data(), k.data(), n);
         EXPECT_NEAR(got[r], want, kTol * std::max(1.0f, std::fabs(want)))
             << "n=" << n << " rows=" << rows << " r=" << r;
+      }
+    }
+  }
+}
+
+// The kernels score every key through dotn on rows widened once per block,
+// where the single-row reference paths (sattn::dot, the pre-widening dotn)
+// take float rows. On each backend, dotn over widened rows must equal that
+// backend's own dot over the float rows, bit for bit, for every head dim up
+// to the largest in kSizes (every tail length past each 8-lane step) and
+// every block height — the parity that keeps the kernels' outputs unchanged.
+TEST(SimdPrimitives, DotnOnWidenedRowsEqualsOwnDotBitExact) {
+  const Index max_n = kSizes[std::size(kSizes) - 1];
+  for (const simd::Ops* o : {&simd::scalar_ops(), &simd::dispatched_ops()}) {
+    for (Index n = 1; n <= max_n; ++n) {
+      std::vector<std::vector<float>> qs;
+      std::vector<std::vector<double>> wide;
+      for (Index r = 0; r < simd::kMaxRows; ++r) {
+        qs.push_back(random_vec(n, 700 + static_cast<std::uint64_t>(10 * n + r)));
+        wide.push_back(widened(qs.back()));
+      }
+      const double* qp[simd::kMaxRows];
+      for (Index r = 0; r < simd::kMaxRows; ++r) qp[r] = wide[static_cast<std::size_t>(r)].data();
+      const auto k = random_vec(n, 800 + static_cast<std::uint64_t>(n));
+      for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
+        float got[simd::kMaxRows];
+        o->dotn(qp, rows, k.data(), n, got);
+        for (Index r = 0; r < rows; ++r) {
+          EXPECT_EQ(got[r], o->dot(qs[static_cast<std::size_t>(r)].data(), k.data(), n))
+              << o->name << " n=" << n << " rows=" << rows << " r=" << r;
+        }
       }
     }
   }

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -215,6 +217,58 @@ void BM_SparseKernelDensity(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseKernelDensity)
     ->Arg(50)->Arg(125)->Arg(250)->Arg(500)->Arg(1000)->UseRealTime();
+
+// The attention core alone (mk::absorb_key_runs), on the calling thread:
+// one 32-row tile, widened once, absorbs 4096 keys in 128-key chunks, each
+// chunk into its eight 4-row groups in turn — the sparse kernel's loop over
+// a dense chunk list. Arg = head dim. ns_per_pair is wall time per
+// (query, key) pair.
+void BM_AbsorbKeyRuns(benchmark::State& state) {
+  constexpr Index kRows = 32, kKeys = 4096, kChunk = 128;
+  const Index d = state.range(0);
+  AttentionInput in;
+  in.q.resize(kRows, d);
+  in.k.resize(kKeys, d);
+  in.v.resize(kKeys, d);
+  Rng rng(11);
+  rng.fill_normal(in.q);
+  rng.fill_normal(in.k);
+  rng.fill_normal(in.v);
+  std::vector<double> qd(static_cast<std::size_t>(kRows * d));
+  simd::widen(in.q.data(), kRows * d, qd.data());
+  const mk::KvView kv = mk::KvView::of(in);
+  const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+  std::vector<float> m(kRows), logits;
+  std::vector<double> l(kRows);
+  Matrix acc(kRows, d);
+  mk::QBlock blocks[kRows / mk::kQRows];
+  for (Index g = 0; g < kRows / mk::kQRows; ++g) {
+    mk::QBlock& b = blocks[g];
+    b.rows = mk::kQRows;
+    b.d = d;
+    for (Index r = 0; r < mk::kQRows; ++r) {
+      const Index row = g * mk::kQRows + r;
+      b.q[r] = qd.data() + row * d;
+      b.m[r] = &m[static_cast<std::size_t>(row)];
+      b.l[r] = &l[static_cast<std::size_t>(row)];
+      b.acc[r] = acc.row(row).data();
+    }
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    std::fill(m.begin(), m.end(), -std::numeric_limits<float>::infinity());
+    std::fill(l.begin(), l.end(), 0.0);
+    std::fill(acc.flat().begin(), acc.flat().end(), 0.0f);
+    for (Index lo = 0; lo < kKeys; lo += kChunk) {
+      const ColumnRun chunk{lo, lo + kChunk};
+      for (const mk::QBlock& b : blocks) mk::absorb_key_runs(b, kv, scale, {&chunk, 1}, logits);
+    }
+    benchmark::DoNotOptimize(acc.data());
+  }
+  const double pairs = static_cast<double>(state.iterations()) * kRows * kKeys;
+  state.counters["ns_per_pair"] = wall_seconds_since(t0) * 1e9 / pairs;
+}
+BENCHMARK(BM_AbsorbKeyRuns)->Arg(64)->Arg(128)->UseRealTime();
 
 // Ablation: contiguous stripe runs vs scattered single columns at equal
 // column count — run compression lets the kernel absorb whole runs with one

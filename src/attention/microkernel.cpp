@@ -6,47 +6,6 @@
 #include "attention/attention_method.h"
 
 namespace sattn {
-namespace {
-
-// Single-row run absorb over raw state: two passes (score + max, then
-// weight + accumulate) with one rescale for the whole run. The tiled and
-// sparse kernels both bottom out here for ragged work.
-void absorb_run_row(const simd::Ops& ops, const double* qi, float& m, double& l, float* acc,
-                    Index d, const mk::KvView& kv, float scale, Index lo, Index hi,
-                    std::vector<float>& logits) {
-  if (hi <= lo) return;
-  const auto n = static_cast<std::size_t>(hi - lo);
-  if (logits.size() < n) logits.resize(n);
-  float run_max = -std::numeric_limits<float>::infinity();
-  for (Index j = lo; j < hi;) {
-    const Index re = kv.run_end(j, hi);
-    const float* krow = kv.k_row(j);
-    for (; j < re; ++j, krow += d) {
-      float qk;
-      ops.dotn(&qi, 1, krow, d, &qk);
-      const float s = scale * qk;
-      logits[static_cast<std::size_t>(j - lo)] = s;
-      run_max = std::max(run_max, s);
-    }
-  }
-  if (run_max > m) {
-    const float rescale = std::exp(m - run_max);
-    ops.scale_inplace(acc, d, rescale);
-    l *= rescale;
-    m = run_max;
-  }
-  for (Index j = lo; j < hi;) {
-    const Index re = kv.run_end(j, hi);
-    const float* vrow = kv.v_row(j);
-    for (; j < re; ++j, vrow += d) {
-      const float w = std::exp(logits[static_cast<std::size_t>(j - lo)] - m);
-      l += w;
-      ops.axpy(w, vrow, acc, d);
-    }
-  }
-}
-
-}  // namespace
 
 void OnlineSoftmaxRow::absorb(float logit, std::span<const float> v_row) {
   assert(v_row.size() == acc.size());
@@ -78,31 +37,25 @@ void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
   Index n = 0;
   for (const ColumnRun& run : runs) n += run.width();
   if (n <= 0) return;
-  const auto stride = static_cast<std::size_t>(n);
-  if (logits.size() < stride * static_cast<std::size_t>(rows)) {
-    logits.resize(stride * static_cast<std::size_t>(rows));
+  if (logits.size() < static_cast<std::size_t>(n * rows)) {
+    logits.resize(static_cast<std::size_t>(n * rows));
   }
 
-  // Pass 1: score every key against all rows (K row loaded once per block).
+  // Pass 1: score each contiguous key run against all rows (row r's logits
+  // at logits[r*n + col]).
   float run_max[kQRows];
   for (Index r = 0; r < rows; ++r) run_max[r] = -std::numeric_limits<float>::infinity();
-  float s[kQRows];
-  std::size_t col = 0;
+  Index col = 0;
   for (const ColumnRun& run : runs) {
     for (Index j = run.lo; j < run.hi;) {
       const Index re = kv.run_end(j, run.hi);
-      const float* krow = kv.k_row(j);
-      for (; j < re; ++j, krow += d, ++col) {
-        ops.dotn(b.q, rows, krow, d, s);
-        for (Index r = 0; r < rows; ++r) {
-          const float v = scale * s[r];
-          logits[static_cast<std::size_t>(r) * stride + col] = v;
-          run_max[r] = std::max(run_max[r], v);
-        }
-      }
+      ops.score_keys(b.q, rows, kv.k_row(j), re - j, d, scale, logits.data() + col, n, run_max);
+      col += re - j;
+      j = re;
     }
   }
-  // One rescale per row for the whole run set.
+  // One rescale per row for the whole run set, then the row's logits become
+  // its weights in place and its normalizer takes them in key order.
   for (Index r = 0; r < rows; ++r) {
     if (run_max[r] > *b.m[r]) {
       const float rescale = std::exp(*b.m[r] - run_max[r]);
@@ -110,21 +63,20 @@ void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
       *b.l[r] *= rescale;
       *b.m[r] = run_max[r];
     }
+    float* w = logits.data() + r * n;
+    ops.exp_shift(w, n, *b.m[r]);
+    double l = *b.l[r];
+    for (Index c = 0; c < n; ++c) l += w[c];
+    *b.l[r] = l;
   }
-  // Pass 2: weight and accumulate every V row into all rows (one axpyn).
-  float w[kQRows];
+  // Pass 2: fold each contiguous value run into all rows.
   col = 0;
   for (const ColumnRun& run : runs) {
     for (Index j = run.lo; j < run.hi;) {
       const Index re = kv.run_end(j, run.hi);
-      const float* vrow = kv.v_row(j);
-      for (; j < re; ++j, vrow += d, ++col) {
-        for (Index r = 0; r < rows; ++r) {
-          w[r] = std::exp(logits[static_cast<std::size_t>(r) * stride + col] - *b.m[r]);
-          *b.l[r] += w[r];
-        }
-        ops.axpyn(w, rows, vrow, b.acc, d);
-      }
+      ops.accumulate_keys(logits.data() + col, n, rows, kv.v_row(j), re - j, d, b.acc);
+      col += re - j;
+      j = re;
     }
   }
 }
@@ -141,7 +93,9 @@ void finalize_row(const float* acc, double l, Index d, float* out) {
 void absorb_key_run(const QBlock& b, Index r, const KvView& kv, float scale, Index lo, Index hi,
                     std::vector<float>& logits) {
   assert(r >= 0 && r < b.rows);
-  absorb_run_row(simd::ops(), b.q[r], *b.m[r], *b.l[r], b.acc[r], b.d, kv, scale, lo, hi, logits);
+  const QBlock one{1, b.d, {b.q[r]}, {b.m[r]}, {b.l[r]}, {b.acc[r]}};
+  const ColumnRun run{lo, hi};
+  absorb_key_runs(one, kv, scale, {&run, 1}, logits);
 }
 
 void absorb_key_tile(const QBlock& b, const KvView& kv, float scale, Index lo,

@@ -16,15 +16,18 @@
 //     matrices, a KV cache's page table, or one sequence of a ragged batch
 //     (src/runtime/batch.h) without materializing per-call tensors.
 //   * mk::QBlock / mk::absorb_key_runs — the register-blocked core: up to
-//     mk::kQRows query rows advance through a set of key runs together, so
-//     each K row is scored with one simd::dotn (K lanes loaded and widened
-//     once for all rows) and each V row accumulated with one simd::axpyn,
-//     with one rescale per row for the whole set. A block's query rows are
-//     widened to double once, where the block is built (flash: per q-tile;
-//     the sparse kernel: per 32-row tile; block_sparse: per q-block), never
-//     per key.
-//   * mk::absorb_key_run — single-row run absorb into one row of a block,
-//     for the keys only that row keeps (ragged causal tails, mask edges).
+//     mk::kQRows query rows advance through a set of key runs together,
+//     one simd::Ops key-run primitive call per contiguous run: score_keys
+//     (each K row loaded and widened once for all rows, dotn's
+//     arithmetic), then one rescale and one exp_shift per row for the whole
+//     set, then accumulate_keys (each 16-lane slice of the rows'
+//     accumulators held in registers across the run). A block's query rows
+//     are widened to double once, where the block is built (flash: per
+//     q-tile; the sparse kernel: per 32-row tile; block_sparse: per
+//     q-block), never per key.
+//   * mk::absorb_key_run — a run absorbed into one row of a block (a
+//     one-row absorb_key_runs), for the keys only that row keeps (ragged
+//     causal tails, mask edges).
 //   * mk::absorb_key_tile — one dense key tile for rows with ragged causal
 //     limits: the shared prefix goes through absorb_key_runs and the tails
 //     fall back to the single-row path, so masked (never-visited) K/V
@@ -144,12 +147,14 @@ struct QBlock {
 };
 
 // Absorbs the union of `runs` (sorted, disjoint) into every row of the
-// block with one rescale per row for the whole set: pass 1 scores each K
-// row against all rows with one dotn, pass 2 folds each V row into all
-// rows with one axpyn. The arithmetic depends only on the key sequence,
-// not on how the view pages it. Callers bound the set (flash: one key
-// tile; the sparse kernel: a chunk of kept keys), which bounds `logits`
-// (caller-owned scratch, grown to rows x keys).
+// block with one rescale per row for the whole set: pass 1 scores each
+// contiguous K run against all rows (simd::Ops::score_keys), each row's
+// logits then become its weights (exp_shift) and join its normalizer in key
+// order, and pass 2 folds each contiguous V run into all rows
+// (accumulate_keys). The arithmetic depends only on the key sequence, not
+// on how the view pages it. Callers bound the set (flash: one key tile; the
+// sparse kernel: a chunk of kept keys), which bounds `logits` (caller-owned
+// scratch, grown to rows x keys).
 void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
                      std::span<const ColumnRun> runs, std::vector<float>& logits);
 
@@ -157,9 +162,9 @@ void absorb_key_runs(const QBlock& b, const KvView& kv, float scale,
 // was absorbed (l <= 0). Every kernel finalizes its online-softmax rows here.
 void finalize_row(const float* acc, double l, Index d, float* out);
 
-// Absorbs the key run [lo, hi) into row r of the block only, with a single
-// rescale for the whole run (two passes: score + max, then weight +
-// accumulate). `scale` is 1/sqrt(d); `logits` is caller-owned scratch.
+// Absorbs the key run [lo, hi) into row r of the block only: absorb_key_runs
+// on a one-row block, so a single rescale for the whole run. `scale` is
+// 1/sqrt(d); `logits` is caller-owned scratch.
 void absorb_key_run(const QBlock& b, Index r, const KvView& kv, float scale, Index lo, Index hi,
                     std::vector<float>& logits);
 

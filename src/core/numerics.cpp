@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 
+#include "core/simd.h"
+
 namespace sattn {
 
 double softmax_inplace(std::span<float> x) { return softmax_prefix_inplace(x, static_cast<Index>(x.size())); }
@@ -17,12 +19,9 @@ double softmax_prefix_inplace(std::span<float> x, Index valid) {
   }
   float mx = x[0];
   for (Index i = 1; i < valid; ++i) mx = std::max(mx, x[i]);
+  simd::ops().exp_shift(x.data(), valid, mx);
   double denom = 0.0;
-  for (Index i = 0; i < valid; ++i) {
-    const float e = std::exp(x[i] - mx);
-    x[i] = e;
-    denom += e;
-  }
+  for (Index i = 0; i < valid; ++i) denom += x[i];
   const auto inv = static_cast<float>(1.0 / denom);
   for (Index i = 0; i < valid; ++i) x[i] *= inv;
   for (std::size_t i = static_cast<std::size_t>(valid); i < x.size(); ++i) x[i] = 0.0f;

@@ -1,5 +1,7 @@
 #include "core/simd.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace sattn::simd {
@@ -40,6 +42,33 @@ void scale_scalar(float* x, Index n, float s) {
   for (Index i = 0; i < n; ++i) x[i] *= s;
 }
 
+// The key-run primitives as the per-key loops they replace.
+void score_keys_scalar(const double* const* q, Index rows, const float* k, Index keys, Index d,
+                       float scale, float* out, Index stride, float* run_max) {
+  float s[kMaxRows];
+  for (Index j = 0; j < keys; ++j, k += d) {
+    dotn_scalar(q, rows, k, d, s);
+    for (Index r = 0; r < rows; ++r) {
+      const float v = scale * s[r];
+      out[r * stride + j] = v;
+      run_max[r] = std::max(run_max[r], v);
+    }
+  }
+}
+
+void exp_shift_scalar(float* x, Index n, float m) {
+  for (Index i = 0; i < n; ++i) x[i] = std::exp(x[i] - m);
+}
+
+void accumulate_keys_scalar(const float* w, Index stride, Index rows, const float* v, Index keys,
+                            Index d, float* const* acc) {
+  float wj[kMaxRows];
+  for (Index j = 0; j < keys; ++j, v += d) {
+    for (Index r = 0; r < rows; ++r) wj[r] = w[r * stride + j];
+    axpyn_scalar(wj, rows, v, acc, d);
+  }
+}
+
 bool force_scalar_from_env() {
   const char* env = std::getenv("SATTN_FORCE_SCALAR");
   return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
@@ -48,8 +77,10 @@ bool force_scalar_from_env() {
 }  // namespace
 
 const Ops& scalar_ops() {
-  static const Ops table = {"scalar", Level::kScalar, dot_scalar,  dotn_scalar,
-                            axpy_scalar, axpyn_scalar, scale_scalar};
+  static const Ops table = {"scalar",          Level::kScalar,   dot_scalar,
+                            dotn_scalar,       axpy_scalar,      axpyn_scalar,
+                            scale_scalar,      score_keys_scalar, exp_shift_scalar,
+                            accumulate_keys_scalar};
   return table;
 }
 

@@ -4,11 +4,13 @@
 // set below: dot products (accumulated in double, matching the numeric
 // contract of core/tensor.cpp), a multi-row dot whose rows arrive already
 // widened to double and share one key stream, axpy accumulates, multi-row
-// axpy that shares one value stream, and an in-place rescale. Each
-// primitive has a portable scalar implementation and, on x86 hosts whose
-// compiler and CPU both support it, an AVX2/FMA implementation
-// (src/core/simd_avx2.cpp, compiled with -mavx2 -mfma and only ever called
-// after a CPUID check).
+// axpy that shares one value stream, an in-place rescale, and the three
+// key-run primitives of the attention core (mk::absorb_key_runs): score a
+// contiguous run of keys, exponentiate a row of logits against its max, and
+// fold a run of value rows into up to kMaxRows accumulators. Each primitive
+// has a portable scalar implementation and, on x86 hosts whose compiler and
+// CPU both support it, an AVX2/FMA implementation (src/core/simd_avx2.cpp,
+// compiled with -mavx2 -mfma and only ever called after a CPUID check).
 //
 // Dispatch contract:
 //   * detected_level()  — what the CPU supports (CPUID), ignoring overrides.
@@ -19,10 +21,13 @@
 //     ScopedForceScalar is alive. This is what kernels call.
 //
 // The scalar table reproduces the pre-SIMD loops bit-for-bit (double
-// accumulation for dots, float fused multiply-add for axpy), so
-// SATTN_FORCE_SCALAR=1 recovers the original kernel numerics exactly and
-// the parity suite (tests/simd_kernel_test.cpp) can compare the two tables
-// in one process.
+// accumulation for dots, float fused multiply-add for axpy, std::exp for
+// the softmax weights), so SATTN_FORCE_SCALAR=1 recovers the original
+// kernel numerics exactly and the parity suite
+// (tests/simd_kernel_test.cpp) can compare the two tables in one process.
+// Within one table, the key-run primitives equal their per-key loops bit
+// for bit: score_keys is dotn per key, accumulate_keys is axpyn per key,
+// and exp_shift is std::exp (on glibc, where the AVX2 entry ports its expf).
 #pragma once
 
 #include <atomic>
@@ -63,6 +68,23 @@ struct Ops {
 
   // x[i] *= s (the online-softmax rescale step).
   void (*scale_inplace)(float* x, Index n, float s);
+
+  // One contiguous run of `keys` key rows (key j at k + j*d) scored against
+  // `rows` widened query rows: out[r*stride + j] = scale * dotn(q[r], key j)
+  // and run_max[r] = max(run_max[r], that logit), for r in [0, rows).
+  void (*score_keys)(const double* const* q, Index rows, const float* k, Index keys, Index d,
+                     float scale, float* out, Index stride, float* run_max);
+
+  // x[i] = std::exp(x[i] - m) in float: the softmax weights of a logit row
+  // whose max is m (m >= every x[i]). +0 below log(2^-150) and for -inf,
+  // like glibc's expf.
+  void (*exp_shift)(float* x, Index n, float m);
+
+  // One contiguous run of `keys` value rows (key j at v + j*d) folded into
+  // `rows` accumulator rows: acc[r][t] += w[r*stride + j] * v[j*d + t] for
+  // every key j, in key order, with axpyn's arithmetic per key.
+  void (*accumulate_keys)(const float* w, Index stride, Index rows, const float* v, Index keys,
+                          Index d, float* const* acc);
 };
 
 // The portable fallback; always available.

@@ -10,7 +10,9 @@
 // suite meaningful under sanitizers and on non-x86 builds.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -229,6 +231,148 @@ TEST(SimdPrimitives, ScaleInplaceMatchesScalar) {
     for (Index t = 0; t < n; ++t) {
       EXPECT_NEAR(got[static_cast<std::size_t>(t)], want[static_cast<std::size_t>(t)], kTol);
     }
+  }
+}
+
+// ---- key-run primitives: each equals its per-key loop, bit for bit ----------
+//
+// Buffers are sized exactly (the row blocks to (rows - 1) * stride + keys,
+// the key runs to keys * d), so a vector load past the end shows under ASan.
+
+std::uint32_t float_bits(float x) { return std::bit_cast<std::uint32_t>(x); }
+
+// The same bits, or both NaN.
+bool same_float(float a, float b) {
+  return float_bits(a) == float_bits(b) || (std::isnan(a) && std::isnan(b));
+}
+
+TEST(SimdKeyRuns, ExpShiftEqualsStdExpBitExact) {
+#if !defined(__GLIBC__)
+  GTEST_SKIP() << "the AVX2 exp_shift ports glibc's expf";
+#else
+  const float inf = std::numeric_limits<float>::infinity();
+  const float cutoff = -0x1.9fe368p6f;  // log(2^-150): expf is +0 below it
+  std::vector<float> xs = {0.0f, -0.0f, -inf, std::numeric_limits<float>::quiet_NaN(), -1e-30f,
+                           -0x1p-149f};
+  float below = cutoff, above = cutoff;
+  for (int t = 0; t < 4; ++t) {
+    xs.push_back(below);
+    below = std::nextafter(below, -inf);
+    above = std::nextafter(above, 0.0f);
+    xs.push_back(above);
+  }
+  const std::size_t sweep_from = xs.size();
+  for (int i = 0; i <= 104 * 4096; i += 7) xs.push_back(-static_cast<float>(i) / 4096.0f);
+  // The same range stepped in float bit patterns: every binade down to -0.
+  for (std::uint32_t b = float_bits(-104.0f); b > float_bits(-0.0f); b -= 40009) {
+    xs.push_back(std::bit_cast<float>(b));
+  }
+
+  for (const simd::Ops* o : {&simd::scalar_ops(), &simd::dispatched_ops()}) {
+    for (const float m : {0.0f, 2.5f}) {
+      std::vector<float> got = xs;
+      o->exp_shift(got.data(), static_cast<Index>(got.size()), m);
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_TRUE(same_float(got[i], std::exp(xs[i] - m)))
+            << o->name << " x=" << xs[i] << " m=" << m << " got " << got[i];
+      }
+    }
+    // Every tail length, on exactly sized buffers.
+    for (std::size_t n = 1; n <= 9; ++n) {
+      std::vector<float> got(xs.begin() + sweep_from - n, xs.begin() + sweep_from);
+      o->exp_shift(got.data(), static_cast<Index>(n), 0.5f);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_TRUE(same_float(got[i], std::exp(xs[sweep_from - n + i] - 0.5f)))
+            << o->name << " n=" << n << " i=" << i;
+      }
+    }
+  }
+#endif
+}
+
+// The shapes both run tests sweep: every block height, every head dim up
+// to 257 (the 16-, 8-lane and scalar tails), 1..9 keys, and a row stride
+// larger than the key count.
+template <typename Fn>
+void for_each_key_run_shape(const Fn& fn) {
+  for (Index d = 1; d <= 257; ++d) {
+    for (Index rows = 1; rows <= simd::kMaxRows; ++rows) {
+      for (Index keys = 1; keys <= 9; ++keys) fn(d, rows, keys, keys + 3);
+    }
+  }
+}
+
+TEST(SimdKeyRuns, ScoreKeysEqualsPerKeyDotn) {
+  for (const simd::Ops* o : {&simd::scalar_ops(), &simd::dispatched_ops()}) {
+    for_each_key_run_shape([&](Index d, Index rows, Index keys, Index stride) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(1000 * d + 10 * rows + keys);
+      std::vector<std::vector<double>> wide;
+      const double* qp[simd::kMaxRows];
+      for (Index r = 0; r < rows; ++r) wide.push_back(widened(random_vec(d, seed + 7 * r)));
+      for (Index r = 0; r < rows; ++r) qp[r] = wide[static_cast<std::size_t>(r)].data();
+      const auto k = random_vec(keys * d, seed + 5);
+      const float scale = 0.125f;
+      const std::size_t span = static_cast<std::size_t>((rows - 1) * stride + keys);
+      std::vector<float> got(span, -1.0f), want(span, -1.0f);
+      // Row 0 enters with a max above every logit of small runs, the others
+      // with -inf.
+      float got_max[simd::kMaxRows], want_max[simd::kMaxRows];
+      for (Index r = 0; r < rows; ++r) {
+        got_max[r] = want_max[r] = r == 0 ? 0.5f : -std::numeric_limits<float>::infinity();
+      }
+      o->score_keys(qp, rows, k.data(), keys, d, scale, got.data(), stride, got_max);
+      for (Index j = 0; j < keys; ++j) {
+        float s[simd::kMaxRows];
+        o->dotn(qp, rows, k.data() + j * d, d, s);
+        for (Index r = 0; r < rows; ++r) {
+          const float v = scale * s[r];
+          want[static_cast<std::size_t>(r * stride + j)] = v;
+          want_max[r] = std::max(want_max[r], v);
+        }
+      }
+      for (std::size_t i = 0; i < span; ++i) {
+        ASSERT_EQ(float_bits(got[i]), float_bits(want[i]))
+            << o->name << " d=" << d << " rows=" << rows << " keys=" << keys << " at " << i;
+      }
+      for (Index r = 0; r < rows; ++r) {
+        ASSERT_EQ(float_bits(got_max[r]), float_bits(want_max[r]))
+            << o->name << " d=" << d << " rows=" << rows << " keys=" << keys << " r=" << r;
+      }
+    });
+  }
+}
+
+TEST(SimdKeyRuns, AccumulateKeysEqualsPerKeyAxpyn) {
+  for (const simd::Ops* o : {&simd::scalar_ops(), &simd::dispatched_ops()}) {
+    for_each_key_run_shape([&](Index d, Index rows, Index keys, Index stride) {
+      const std::uint64_t seed = static_cast<std::uint64_t>(2000 * d + 10 * rows + keys);
+      const auto w = random_vec((rows - 1) * stride + keys, seed);
+      const auto v = random_vec(keys * d, seed + 1);
+      std::vector<std::vector<float>> got, want;
+      float* gp[simd::kMaxRows];
+      float* wp[simd::kMaxRows];
+      for (Index r = 0; r < rows; ++r) {
+        got.push_back(random_vec(d, seed + 2 + static_cast<std::uint64_t>(r)));
+        want.push_back(got.back());
+      }
+      for (Index r = 0; r < rows; ++r) {
+        gp[r] = got[static_cast<std::size_t>(r)].data();
+        wp[r] = want[static_cast<std::size_t>(r)].data();
+      }
+      o->accumulate_keys(w.data(), stride, rows, v.data(), keys, d, gp);
+      for (Index j = 0; j < keys; ++j) {
+        float wj[simd::kMaxRows];
+        for (Index r = 0; r < rows; ++r) wj[r] = w[static_cast<std::size_t>(r * stride + j)];
+        o->axpyn(wj, rows, v.data() + j * d, wp, d);
+      }
+      for (Index r = 0; r < rows; ++r) {
+        for (Index t = 0; t < d; ++t) {
+          ASSERT_EQ(float_bits(gp[r][t]), float_bits(wp[r][t]))
+              << o->name << " d=" << d << " rows=" << rows << " keys=" << keys << " r=" << r
+              << " t=" << t;
+        }
+      }
+    });
   }
 }
 
